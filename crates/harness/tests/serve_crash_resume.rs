@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use rskip_exec::FaultModel;
 use rskip_harness::experiment::{run_campaign_cell_model, SchemeVariant};
 use rskip_harness::{Engine, EvalOptions};
-use rskip_serve::{encode, Client, JobSpec, Response, RetryPolicy};
+use rskip_serve::{encode, Client, JobJournal, JobSpec, Response, RetryPolicy, DEFAULT_TENANT};
 use rskip_workloads::SizeProfile;
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -251,5 +251,52 @@ fn sigkill_mid_campaign_resumes_byte_identically() {
     assert!(!status.success(), "SIGKILL must not exit cleanly");
 
     assert_crash_resume_cycle(&dir, &spec, &reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn abort_with_two_tenants_mid_rotation_resumes_both() {
+    let dir = temp_dir("two-tenants");
+    // One worker serves the tenants' lanes round-robin, one chunk per
+    // turn, so the crash (after four journaled chunks) finds *both*
+    // jobs partial.
+    let spec_a = spec_for("ar20", 100, 20, "");
+    let mut spec_b = spec_for("unsafe", 100, 20, "");
+    spec_b.tenant = "team-b".to_string();
+    let reference_a = encode(&cli_reference("ar20", 100));
+    let reference_b = encode(&cli_reference("unsafe", 100));
+
+    let (mut child, addr) = spawn_server(&dir, Some(4));
+    let mut client = Client::connect(addr).expect("connect");
+    // B is normally admitted while A's first chunk (which prepares
+    // the benchmark for A's tenant) still runs.
+    client.submit_accepted(&spec_a).expect("accept A");
+    client.submit_accepted(&spec_b).expect("accept B");
+    while client.recv().is_ok() {} // drain until the server aborts
+    let status = child.wait().expect("crashed server exits");
+    assert!(!status.success());
+
+    {
+        let (_, recovery) = JobJournal::open(&dir).expect("inspect journal");
+        let mut partial: Vec<(String, u32)> = recovery
+            .resumable
+            .iter()
+            .map(|r| (r.spec.tenant_or_default().to_string(), r.executed))
+            .collect();
+        partial.sort();
+        // Typically 40 + 40; how the four chunks split depends on how
+        // soon B was admitted, but both jobs must have made progress.
+        assert_eq!(partial.len(), 2, "both jobs resumable: {partial:?}");
+        assert_eq!(partial[0].0, DEFAULT_TENANT);
+        assert_eq!(partial[1].0, "team-b");
+        assert!(
+            partial.iter().all(|&(_, executed)| executed > 0),
+            "both tenants' jobs must be mid-flight at the crash: {partial:?}"
+        );
+        assert_eq!(partial.iter().map(|p| p.1).sum::<u32>(), 80);
+    }
+
+    assert_crash_resume_cycle(&dir, &spec_a, &reference_a);
+    assert_crash_resume_cycle(&dir, &spec_b, &reference_b);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -113,6 +113,10 @@ impl Client {
     /// Connection failure, or a first frame that is not a `Hello`.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Request frames are small: without this, a frame written right
+        // after another (the v2 Hello, then a Submit) waits for the
+        // server's delayed ACK of the first.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -173,8 +177,8 @@ impl Client {
     ///
     /// Socket write failure.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        let framed = format!("{line}\n");
+        self.writer.write_all(framed.as_bytes())?;
         self.writer.flush()
     }
 

@@ -53,6 +53,6 @@ pub use protocol::{
     decode, encode, valid_tenant, DoneFrame, ErrorKind, JobSpec, ProgressFrame, Request, Response,
     DEFAULT_TENANT, PROTOCOL_VERSION,
 };
-pub use queue::{JobQueue, PushError};
+pub use queue::{JobQueue, Laned, PushError};
 pub use runner::{CampaignRunner, ChunkOutput};
 pub use server::{backoff_hint_ms, job_key, RecoveryReport, Server, ServerConfig, BACKOFF_CAP_MS};

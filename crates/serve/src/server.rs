@@ -4,9 +4,9 @@
 //! Thread structure (all `std::thread`, no runtime):
 //!
 //! ```text
-//! accept loop ──► per-connection reader ──► bounded JobQueue ──► worker pool
-//!                        │                                          │
-//!                        └───────► per-connection writer ◄──────────┘
+//! accept loop ──► per-connection reader ──► JobQueue (tenant lanes) ◄──► worker pool
+//!                        │                        one chunk per turn          │
+//!                        └───────► per-connection writer ◄────────────────────┘
 //!                                   (mpsc, owns the socket)
 //! ```
 //!
@@ -14,25 +14,43 @@
 //! validates, admits into the queue) and a **writer** thread (the only
 //! thing that writes the socket, fed by an `mpsc` channel — so a
 //! worker streaming job A's chunks and the reader rejecting job B
-//! never interleave bytes mid-frame). Workers are shared across
-//! connections and pop jobs FIFO; *within* a job, chunks run
-//! sequentially on one worker, which is what makes the early-stopping
-//! decision point — and therefore the exact executed-trial set —
-//! deterministic for a fixed chunk size. Parallelism comes from the
-//! pool multiplexing jobs, and from each chunk's trials fanning out
-//! over the harness's deterministic `parallel_map` below us.
+//! never interleave bytes mid-frame). Both sockets run with
+//! `TCP_NODELAY`, and the writer sends every frame already waiting in
+//! its channel in one write: a frame leaves as soon as a worker
+//! produces it, never held back by Nagle's algorithm waiting for the
+//! peer's delayed ACK.
+//!
+//! **Scheduling.** The queue keeps one FIFO lane per tenant. A worker
+//! checks out the head job of the next tenant in rotation, runs
+//! exactly *one chunk* of it (journal record, `Progress` frame,
+//! cancel/suspend/early-stop checks included), and hands an unfinished
+//! job back to the front of its lane while the rotation moves on. So
+//! an interactive tenant waits at most one chunk per other tenant, not
+//! for a bulk tenant's whole job, and one tenant's jobs still finish in
+//! submission order. A job is never held by two workers at once, so
+//! *within* a job chunks run strictly in order — which is what makes
+//! the early-stopping decision point, and therefore the exact
+//! executed-trial set, deterministic for a fixed chunk size. Which
+//! other jobs' chunks ran in between changes nothing: each chunk is a
+//! pure function of the spec and its trial range, so interleaving
+//! leaves aggregates, journals and resume points exactly as a
+//! job-at-a-time schedule would. Parallelism comes from the pool
+//! serving several jobs at once, and from each chunk's trials fanning
+//! out over the harness's deterministic `parallel_map` below us.
 //!
 //! **Durability.** With [`ServerConfig::state_dir`] set, every job's
 //! identity, spec, per-chunk progress and terminal outcome is fsynced
 //! to a per-tenant [`JobJournal`] before the next chunk runs, and a
 //! restarted server replays the journals: finished jobs seed the
-//! result cache, unfinished ones re-enter the queue at their next
-//! chunk boundary. Because each trial is a pure function of `(campaign
-//! seed, trial index)` and the aggregate is a commutative monoid, the
-//! resumed job's final aggregate is byte-identical to an uninterrupted
-//! run — `SIGKILL` at any chunk boundary included (the crash-injection
-//! hook `RSKIP_SERVE_CRASH_AFTER_CHUNKS=N`, which aborts the process
-//! after the N-th journaled chunk, exists to prove exactly that).
+//! result cache, unfinished ones re-enter their tenant's lane at their
+//! next chunk boundary. Under round-robin several jobs can be partial
+//! at a crash; each resumes from its own last checkpoint. Because each
+//! trial is a pure function of `(campaign seed, trial index)` and the
+//! aggregate is a commutative monoid, the resumed job's final
+//! aggregate is byte-identical to an uninterrupted run — `SIGKILL` at
+//! any chunk boundary included (the crash-injection hook
+//! `RSKIP_SERVE_CRASH_AFTER_CHUNKS=N`, which aborts the process after
+//! the N-th journaled chunk, exists to prove exactly that).
 //!
 //! **Job identity.** Every non-`want_outcomes` job gets a content-hash
 //! key ([`job_key`]) over the runner's fingerprint (bench module
@@ -71,15 +89,16 @@ use crate::protocol::{
     decode, encode, valid_tenant, DoneFrame, ErrorKind, JobSpec, ProgressFrame, Request, Response,
     PROTOCOL_VERSION,
 };
-use crate::queue::{JobQueue, PushError};
+use crate::queue::{JobQueue, Laned, PushError};
 use crate::runner::CampaignRunner;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads popping the job queue.
+    /// Worker threads serving the job queue, one chunk per turn.
     pub workers: usize,
-    /// Bounded queue capacity (jobs waiting beyond the ones in flight).
+    /// Bounded queue capacity: jobs waiting that have never started. A
+    /// job between two of its chunks is in flight, not waiting.
     pub queue_capacity: usize,
     /// Chunk size used when a job submits `chunk: 0`.
     pub default_chunk: u32,
@@ -180,7 +199,8 @@ struct JobFlags {
 /// it never existed or already finished.
 type CancelRegistry = Arc<Mutex<HashMap<u64, JobFlags>>>;
 
-/// One admitted job, as carried through the queue to a worker.
+/// One admitted job, carried between its tenant's lane and the workers
+/// until it finishes.
 struct QueuedJob {
     id: u64,
     /// Content-hash identity; `None` for `want_outcomes` jobs, which
@@ -188,10 +208,14 @@ struct QueuedJob {
     key: Option<u64>,
     spec: JobSpec,
     chunk: u32,
-    /// Resume point: trials already executed (0 for a fresh job) ...
-    start_executed: u32,
+    /// Trials executed so far (at admission: the resume point, 0 for
+    /// a fresh job) ...
+    executed: u32,
     /// ... and their merged aggregate.
-    start_stats: CampaignStats,
+    stats: CampaignStats,
+    /// When a worker first checked the job out; `total_nanos` counts
+    /// from here.
+    started: Option<Instant>,
     flags: JobFlags,
     /// Frame sink; `None` for journal-recovered orphans, whose results
     /// land in the journal and cache only.
@@ -204,6 +228,23 @@ impl QueuedJob {
         if let Some(out) = &self.out {
             let _ = out.send(frame);
         }
+    }
+
+    /// Whether the early-stopping rule holds with trials still to run.
+    /// Checked after every chunk, and before a job's first chunk in
+    /// this process: a crash can land between the chunk that satisfied
+    /// the rule and the Done record, and re-evaluating on the resumed
+    /// aggregate reproduces the uninterrupted run's decision exactly.
+    fn stop_reached(&self) -> bool {
+        self.spec.stop.is_some_and(|stop| {
+            self.executed > 0 && self.executed < self.spec.trials && stop.satisfied(&self.stats)
+        })
+    }
+}
+
+impl Laned for QueuedJob {
+    fn lane(&self) -> &str {
+        self.spec.tenant_or_default()
     }
 }
 
@@ -350,12 +391,12 @@ impl Server {
             ),
         });
 
-        // Re-enqueue unfinished jobs before any worker starts: they
-        // keep their original ids and chunk sizes (the executed-trial
-        // set must match the uninterrupted run), run with no client
-        // attached, and land in the journal + cache like any other
-        // job. `restore` ignores the capacity bound — this work was
-        // already accepted durably.
+        // Re-enqueue unfinished jobs into their tenants' lanes before
+        // any worker starts: they keep their original ids and chunk
+        // sizes (the executed-trial set must match the uninterrupted
+        // run), run with no client attached, and land in the journal +
+        // cache like any other job. `restore` ignores the capacity
+        // bound — this work was already accepted durably.
         recovery.jobs_resumed = resumable.len();
         for r in resumable {
             inflight.insert(r.key, r.job);
@@ -364,8 +405,9 @@ impl Server {
                 key: Some(r.key),
                 spec: r.spec,
                 chunk: r.chunk,
-                start_executed: r.executed,
-                start_stats: r.stats,
+                executed: r.executed,
+                stats: r.stats,
+                started: None,
                 flags: JobFlags::default(),
                 out: None,
                 registry: None,
@@ -449,6 +491,9 @@ fn accept_loop<R: CampaignRunner>(
             return;
         }
         let Ok(stream) = stream else { continue };
+        // Frames are small and latency-bound: send each as soon as it
+        // is written instead of holding it for the client's ACK.
+        let _ = stream.set_nodelay(true);
         let runner = Arc::clone(runner);
         let queue = Arc::clone(queue);
         let shutdown = Arc::clone(shutdown);
@@ -465,12 +510,18 @@ fn accept_loop<R: CampaignRunner>(
 /// Serializes every outbound frame for one connection. Sole owner of
 /// the write half; exits when all `Sender` clones (reader + workers on
 /// this connection's jobs) are gone, or on the first write error
-/// (client vanished — frames drain into the void harmlessly).
+/// (client vanished — frames drain into the void harmlessly). Frames
+/// that are already waiting when it wakes (an `Accepted` + cached
+/// `Done` pair, a last `Progress` + `Done`) go out in one write.
 fn writer_loop(mut stream: TcpStream, frames: &Receiver<Response>) {
+    let mut buf = String::new();
     while let Ok(frame) = frames.recv() {
-        let mut line = encode(&frame);
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
+        buf.clear();
+        for frame in std::iter::once(frame).chain(frames.try_iter()) {
+            buf.push_str(&encode(&frame));
+            buf.push('\n');
+        }
+        if stream.write_all(buf.as_bytes()).is_err() || stream.flush().is_err() {
             return;
         }
     }
@@ -681,7 +732,7 @@ fn admit<R: CampaignRunner>(
     // suspended chunk size wins — the early-stop decision points (and
     // so the executed-trial set) must match the original run.
     let parked = key.and_then(|k| state.suspended.lock().unwrap().remove(&k));
-    let (chunk, start_executed, start_stats) = match &parked {
+    let (chunk, executed, stats) = match &parked {
         Some(s) => (s.chunk, s.executed, s.stats),
         None => (chunk, 0, CampaignStats::default()),
     };
@@ -698,8 +749,9 @@ fn admit<R: CampaignRunner>(
         key,
         spec,
         chunk,
-        start_executed,
-        start_stats,
+        executed,
+        stats,
+        started: None,
         flags,
         out: Some(out.clone()),
         registry: Some(Arc::clone(registry)),
@@ -719,112 +771,97 @@ fn admit<R: CampaignRunner>(
                 chunk,
             },
         );
-        if start_executed > 0 {
+        if executed > 0 {
             state.journal_event(
                 key,
                 &tenant,
                 &JournalEvent::Chunk {
                     job: id,
-                    executed: start_executed,
-                    stats: start_stats,
+                    executed,
+                    stats,
                 },
             );
         }
     }
 
-    match queue.try_push(job) {
-        Ok(()) => {
-            let _ = out.send(Response::Accepted {
-                job: id,
-                trials,
-                chunk,
-            });
+    // `Accepted` is queued on the connection before any worker can
+    // pick the job up, so no Progress or Done of it can overtake it.
+    let pushed = queue.try_push_with(job, |_| {
+        let _ = out.send(Response::Accepted {
+            job: id,
+            trials,
+            chunk,
+        });
+    });
+    let Err(err) = pushed else { return };
+    registry.lock().unwrap().remove(&id);
+    state.clear_inflight(key);
+    if let Some(s) = parked {
+        // Progress must not be lost to a full queue.
+        if let Some(k) = key {
+            state.suspended.lock().unwrap().insert(k, s);
         }
-        Err(err) => {
-            registry.lock().unwrap().remove(&id);
-            state.clear_inflight(key);
-            if let Some(s) = parked {
-                // Progress must not be lost to a full queue.
-                if let Some(k) = key {
-                    state.suspended.lock().unwrap().insert(k, s);
-                }
-            }
-            // Terminate the journaled acceptance so a restart does not
-            // resurrect a job the client was told to retry.
-            state.journal_event(
-                key,
-                &tenant,
-                &JournalEvent::Cancelled {
-                    job: id,
-                    executed: start_executed,
-                },
-            );
-            match err {
-                PushError::Full { queued } => reject(
-                    ErrorKind::QueueFull,
-                    format!("queue at capacity ({queued} jobs waiting)"),
-                    Some(backoff_hint_ms(queued, state.next_jitter())),
-                ),
-                PushError::Closed => reject(
-                    ErrorKind::ShuttingDown,
-                    "server is draining for shutdown".to_string(),
-                    None,
-                ),
-            }
-        }
+    }
+    // Terminate the journaled acceptance so a restart does not
+    // resurrect a job the client was told to retry.
+    state.journal_event(key, &tenant, &JournalEvent::Cancelled { job: id, executed });
+    match err {
+        PushError::Full { queued } => reject(
+            ErrorKind::QueueFull,
+            format!("queue at capacity ({queued} jobs waiting)"),
+            Some(backoff_hint_ms(queued, state.next_jitter())),
+        ),
+        PushError::Closed => reject(
+            ErrorKind::ShuttingDown,
+            "server is draining for shutdown".to_string(),
+            None,
+        ),
     }
 }
 
+/// Serves the queue one chunk per turn: an unfinished job goes back to
+/// the front of its tenant's lane, a finished one leaves its
+/// connection's registry.
 fn worker_loop<R: CampaignRunner>(
     runner: &R,
     queue: &JobQueue<QueuedJob>,
     state: &Arc<ServiceState>,
 ) {
-    while let Some(job) = queue.pop() {
-        run_job(runner, state, &job);
-        if let Some(registry) = &job.registry {
+    while let Some(mut job) = queue.pop() {
+        if run_job(runner, state, &mut job) {
+            queue.requeue(job);
+        } else if let Some(registry) = &job.registry {
             registry.lock().unwrap().remove(&job.id);
         }
     }
 }
 
-/// Executes one job chunk-by-chunk from its resume point, journaling
-/// and streaming the running aggregate after each chunk and honoring
-/// cancellation, suspension and early stopping between chunks.
-fn run_job<R: CampaignRunner>(runner: &R, state: &Arc<ServiceState>, job: &QueuedJob) {
+/// One turn of a job: honors cancellation and suspension, runs the
+/// next chunk, journals and streams the running aggregate, and — when
+/// the last chunk ran or the early-stopping rule fired — journals,
+/// caches and streams the `Done`. Returns `true` while the job has
+/// chunks left.
+fn run_job<R: CampaignRunner>(runner: &R, state: &Arc<ServiceState>, job: &mut QueuedJob) -> bool {
     let trials = job.spec.trials;
-    let started = Instant::now();
-    let mut aggregate = job.start_stats;
-    let mut executed = job.start_executed;
-    let mut chunk_index = executed / job.chunk;
-    let mut early_stopped = false;
+    let started = *job.started.get_or_insert_with(Instant::now);
 
-    // A crash can land between the chunk that satisfied the stop rule
-    // and the Done record; re-evaluating on the resumed aggregate
-    // reproduces the uninterrupted run's decision exactly.
-    if let Some(stop) = job.spec.stop {
-        if executed > 0 && executed < trials && stop.satisfied(&aggregate) {
-            early_stopped = true;
-        }
-    }
-
-    while !early_stopped && executed < trials {
+    if job.executed < trials && !job.stop_reached() {
         if job.flags.cancel.load(Ordering::SeqCst) {
             state.journal_event(
                 job.key,
                 job.spec.tenant_or_default(),
                 &JournalEvent::Cancelled {
                     job: job.id,
-                    executed,
+                    executed: job.executed,
                 },
             );
             state.clear_inflight(job.key);
             job.send(Response::Cancelled {
                 job: job.id,
-                executed,
-                stats: aggregate,
+                executed: job.executed,
+                stats: job.stats,
             });
-            return;
+            return false;
         }
         if job.flags.suspend.load(Ordering::SeqCst) {
             // Client vanished: park progress resumably. No terminal
@@ -835,58 +872,57 @@ fn run_job<R: CampaignRunner>(runner: &R, state: &Arc<ServiceState>, job: &Queue
                     k,
                     SuspendedJob {
                         chunk: job.chunk,
-                        executed,
-                        stats: aggregate,
+                        executed: job.executed,
+                        stats: job.stats,
                     },
                 );
             }
             state.clear_inflight(job.key);
-            return;
+            return false;
         }
-        let end = (executed + job.chunk).min(trials);
+        let chunk_index = job.executed / job.chunk;
+        let end = (job.executed + job.chunk).min(trials);
         let chunk_started = Instant::now();
-        let output = runner.run_chunk(&job.spec, executed..end);
+        let output = runner.run_chunk(&job.spec, job.executed..end);
         let chunk_nanos = u64::try_from(chunk_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        aggregate.merge(&output.stats);
-        executed = end;
+        job.stats.merge(&output.stats);
+        job.executed = end;
         state.journal_event(
             job.key,
             job.spec.tenant_or_default(),
             &JournalEvent::Chunk {
                 job: job.id,
-                executed,
-                stats: aggregate,
+                executed: job.executed,
+                stats: job.stats,
             },
         );
         state.crash_hook();
         job.send(Response::Progress(ProgressFrame {
             job: job.id,
             chunk: chunk_index,
-            executed,
+            executed: job.executed,
             requested: trials,
-            stats: aggregate,
-            correct_ci: aggregate.correct_ci(),
-            sdc_ci: aggregate.sdc_ci(),
+            stats: job.stats,
+            correct_ci: job.stats.correct_ci(),
+            sdc_ci: job.stats.sdc_ci(),
             outcomes: output.outcomes,
             chunk_nanos,
         }));
-        chunk_index += 1;
-        if let Some(stop) = job.spec.stop {
-            if executed < trials && stop.satisfied(&aggregate) {
-                early_stopped = true;
-            }
+        if job.executed < trials && !job.stop_reached() {
+            return true;
         }
     }
 
+    let early_stopped = job.stop_reached();
     let total_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let done = DoneFrame {
         job: job.id,
-        executed,
+        executed: job.executed,
         requested: trials,
         early_stopped,
-        stats: aggregate,
-        correct_ci: aggregate.correct_ci(),
-        sdc_ci: aggregate.sdc_ci(),
+        stats: job.stats,
+        correct_ci: job.stats.correct_ci(),
+        sdc_ci: job.stats.sdc_ci(),
         total_nanos,
         cached: false,
     };
@@ -895,9 +931,9 @@ fn run_job<R: CampaignRunner>(runner: &R, state: &Arc<ServiceState>, job: &Queue
         job.spec.tenant_or_default(),
         &JournalEvent::Done {
             job: job.id,
-            executed,
+            executed: job.executed,
             early_stopped,
-            stats: aggregate,
+            stats: job.stats,
             total_nanos,
         },
     );
@@ -906,6 +942,7 @@ fn run_job<R: CampaignRunner>(runner: &R, state: &Arc<ServiceState>, job: &Queue
     }
     state.clear_inflight(job.key);
     job.send(Response::Done(done));
+    false
 }
 
 #[cfg(test)]

@@ -750,3 +750,200 @@ fn restart_resumes_suspended_job_and_caches_its_result() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+fn tenant_spec(tenant: &str, trials: u32, chunk: u32) -> JobSpec {
+    let mut s = spec(trials, chunk);
+    s.tenant = tenant.to_string();
+    s
+}
+
+/// Submits `spec` on a connection that already has jobs streaming and
+/// returns its id, recording the other jobs' frames that arrive first.
+fn submit_amid(client: &mut Client, spec: &JobSpec, seen: &mut Vec<Response>) -> u64 {
+    client.send(&Request::Submit(spec.clone())).expect("send");
+    loop {
+        match client.recv().expect("frame") {
+            Response::Accepted { job, .. } => return job,
+            Response::Rejected { error, detail, .. } => panic!("rejected: {error:?}: {detail}"),
+            other => seen.push(other),
+        }
+    }
+}
+
+/// Reads frames into `seen` until every job in `jobs` has sent its
+/// `Done`.
+fn drain_to_done(client: &mut Client, jobs: &[u64], seen: &mut Vec<Response>) {
+    let finished = |seen: &Vec<Response>| {
+        jobs.iter().all(|&job| {
+            seen.iter()
+                .any(|f| matches!(f, Response::Done(d) if d.job == job))
+        })
+    };
+    while !finished(seen) {
+        seen.push(client.recv().expect("frame"));
+    }
+}
+
+fn done_of(seen: &[Response], job: u64) -> &rskip_serve::DoneFrame {
+    seen.iter()
+        .find_map(|f| match f {
+            Response::Done(d) if d.job == job => Some(d),
+            _ => None,
+        })
+        .expect("job reached Done")
+}
+
+#[test]
+fn short_job_of_another_tenant_overtakes_a_long_job() {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let runner = SlowRunner(Duration::from_millis(5));
+    let server = Server::bind("127.0.0.1:0", Arc::new(runner), config).expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // Tenant A: 50 chunks of one trial. Wait until it is running.
+    let spec_a = tenant_spec("team-a", 50, 1);
+    let job_a = client.submit_accepted(&spec_a).expect("accept A");
+    let mut seen = Vec::new();
+    while !seen
+        .iter()
+        .any(|f| matches!(f, Response::Progress(p) if p.job == job_a))
+    {
+        seen.push(client.recv().expect("frame"));
+    }
+
+    // Tenant B: a single chunk, submitted behind A.
+    let spec_b = tenant_spec("team-b", 7, 7);
+    let job_b = submit_amid(&mut client, &spec_b, &mut seen);
+    drain_to_done(&mut client, &[job_b], &mut seen);
+    let a_executed = seen
+        .iter()
+        .filter_map(|f| match f {
+            Response::Progress(p) if p.job == job_a => Some(p.executed),
+            _ => None,
+        })
+        .max()
+        .expect("A progressed");
+    assert!(
+        a_executed <= 10,
+        "B must finish one rotation behind A, not after it: A had run {a_executed} of 50 chunks"
+    );
+
+    drain_to_done(&mut client, &[job_a], &mut seen);
+    // Interleaving leaves both aggregates exactly as one-shot runs.
+    for (job, s) in [(job_a, &spec_a), (job_b, &spec_b)] {
+        let done = done_of(&seen, job);
+        assert_eq!(done.executed, s.trials);
+        let one_shot = synthetic_chunk(s, 0..s.trials);
+        assert_eq!(encode(&done.stats), encode(&one_shot.stats));
+    }
+    server.shutdown();
+}
+
+#[test]
+fn jobs_of_one_tenant_still_finish_in_submission_order() {
+    let config = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let runner = SlowRunner(Duration::from_millis(2));
+    let server = Server::bind("127.0.0.1:0", Arc::new(runner), config).expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let first = spec(10, 1);
+    let second = spec(3, 3);
+    let mut seen = Vec::new();
+    let job_1 = submit_amid(&mut client, &first, &mut seen);
+    let job_2 = submit_amid(&mut client, &second, &mut seen);
+    drain_to_done(&mut client, &[job_1, job_2], &mut seen);
+
+    let position = |pred: &dyn Fn(&Response) -> bool| seen.iter().position(pred).unwrap();
+    let done_1 = position(&|f| matches!(f, Response::Done(d) if d.job == job_1));
+    let start_2 = position(&|f| matches!(f, Response::Progress(p) if p.job == job_2));
+    assert!(
+        done_1 < start_2,
+        "the second job of a tenant must not start before the first is done"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_mid_rotation_drains_every_tenant_to_done() {
+    let dir = temp_state_dir("rotation-drain");
+    let config = ServerConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let runner = SlowRunner(Duration::from_millis(5));
+    let server = Server::bind("127.0.0.1:0", Arc::new(runner), config).expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let specs = [tenant_spec("team-a", 100, 5), tenant_spec("team-b", 60, 5)];
+    let mut seen = Vec::new();
+    let jobs: Vec<u64> = specs
+        .iter()
+        .map(|s| submit_amid(&mut client, s, &mut seen))
+        .collect();
+    // Both jobs are mid-rotation: each has streamed a chunk.
+    let progressed = |seen: &Vec<Response>, job: u64| {
+        seen.iter()
+            .any(|f| matches!(f, Response::Progress(p) if p.job == job))
+    };
+    while !jobs.iter().all(|&j| progressed(&seen, j)) {
+        seen.push(client.recv().expect("frame"));
+    }
+
+    // Close the queue mid-rotation: whichever job is on the worker
+    // re-enters its lane, and both drain to full Done aggregates.
+    let stopping = std::thread::spawn(move || server.shutdown());
+    drain_to_done(&mut client, &jobs, &mut seen);
+    stopping.join().expect("shutdown joins");
+    for (&job, s) in jobs.iter().zip(&specs) {
+        let done = done_of(&seen, job);
+        assert_eq!(done.executed, s.trials);
+        assert_eq!(
+            encode(&done.stats),
+            encode(&synthetic_chunk(s, 0..s.trials).stats)
+        );
+    }
+
+    let (_, recovery) = JobJournal::open(&dir).expect("reopen journal");
+    assert!(
+        recovery.resumable.is_empty(),
+        "both drained jobs are journaled terminal"
+    );
+    assert_eq!(recovery.completed.len(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cached_answers_are_not_held_back_by_delayed_acks() {
+    let server = Server::bind("127.0.0.1:0", Arc::new(MockRunner), ServerConfig::default())
+        .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let job_spec = spec(50, 10);
+    let job = client.submit_accepted(&job_spec).expect("accept");
+    client.stream_job(job, |_| {}).expect("first run");
+
+    // Each resubmission is a Submit out and Accepted + Done{cached} in:
+    // no trial runs, so the time is all framing and loopback.
+    let mut millis: Vec<f64> = (0..21)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let job = client.submit_accepted(&job_spec).expect("accept cached");
+            let outcome = client.stream_job(job, |_| {}).expect("cached Done");
+            assert!(outcome.done.cached);
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(
+        median < 20.0,
+        "median cached round trip {median:.2} ms (all: {millis:?})"
+    );
+    server.shutdown();
+}
