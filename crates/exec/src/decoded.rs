@@ -44,6 +44,7 @@ use crate::threaded::ThreadedModule;
 /// [`crate::Machine::new`] (which decodes internally) or
 /// [`crate::Machine::from_decoded`] (which shares a prebuilt decode, e.g.
 /// across campaign worker threads).
+#[derive(Clone)]
 pub struct Decoded<'m> {
     pub(crate) module: &'m Module,
     pub(crate) unit: Arc<DecodedUnit>,

@@ -68,7 +68,10 @@ impl IntrinsicAction {
 /// Implemented by the prediction runtime (`rskip-runtime`); a no-op
 /// implementation ([`NoopHooks`]) serves unprotected and conventionally
 /// protected runs.
-pub trait RuntimeHooks {
+///
+/// Hooks are `Send` because campaign drivers hand forked machines, hooks
+/// included, to worker threads.
+pub trait RuntimeHooks: Send {
     /// Handles one `rskip.*` intrinsic call.
     ///
     /// The machine handles `region_enter`/`region_exit` bookkeeping and the
@@ -86,6 +89,18 @@ pub trait RuntimeHooks {
     /// for hooks without runtime state — has nothing to corrupt.
     fn flip_runtime_state(&mut self, seed: u64) -> Option<String> {
         let _ = seed;
+        None
+    }
+
+    /// A copy of these hooks, state included, for a machine forked
+    /// mid-run ([`crate::Machine::fork`]). Campaigns run every trial as a
+    /// fork of one golden run, so hooks used in a campaign must return
+    /// `Some`; the default, `None`, suits hooks that only ever drive a
+    /// single run.
+    fn fork(&self) -> Option<Self>
+    where
+        Self: Sized,
+    {
         None
     }
 }
@@ -112,6 +127,10 @@ impl RuntimeHooks for NoopHooks {
             },
             _ => IntrinsicAction::void(0),
         }
+    }
+
+    fn fork(&self) -> Option<Self> {
+        Some(*self)
     }
 }
 

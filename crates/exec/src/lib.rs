@@ -39,6 +39,7 @@
 mod counters;
 mod decoded;
 mod enumerate;
+mod events;
 mod fault;
 mod fuse;
 mod hooks;

@@ -12,10 +12,10 @@ use rskip_ir::{BinOp, CmpOp, Module, Operand, Reg, Ty, UnOp, Value};
 use crate::counters::Counters;
 use crate::decoded::{DInst, DStep, DTerm, Decoded};
 use crate::enumerate::TraceEntry;
-use crate::fault::{
-    burst_window, ExactFault, ExactFaultKind, ExactFlip, FaultEffect, FaultModel, InjectionPlan,
-    InjectionRecord,
-};
+use crate::events::{ArmedFault, Clock, EventFrame, Events};
+use crate::fault::{ExactFault, ExactFlip, InjectionPlan, InjectionRecord};
+#[cfg(test)]
+use crate::fault::{ExactFaultKind, FaultEffect, FaultModel};
 use crate::hooks::RuntimeHooks;
 use crate::pipeline::{Pipeline, PipelineConfig};
 
@@ -205,7 +205,7 @@ impl Default for ExecConfig {
     }
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Frame {
     func: u32,
     block: u32,
@@ -216,33 +216,61 @@ struct Frame {
     ready: Vec<u64>,
 }
 
-/// An armed fault for the next run: a random draw from a fault model, a
-/// deterministic exact fault, or a strike against the prediction
-/// runtime's own metadata.
-pub(crate) enum ArmedFault {
-    Random(InjectionPlan),
-    Exact(ExactFault),
-    RuntimeState { trigger: u64, seed: u64 },
-}
-
-/// Either an internally-built decode or one shared by the caller (e.g.
-/// one decode per campaign, many machines across threads).
-enum Program<'m> {
-    Owned(Box<Decoded<'m>>),
-    Shared(&'m Decoded<'m>),
-}
-
-impl<'m> Program<'m> {
-    fn get(&self) -> &Decoded<'m> {
-        match self {
-            Program::Owned(d) => d,
-            Program::Shared(d) => d,
-        }
+impl EventFrame for Frame {
+    fn func(&self) -> u32 {
+        self.func
     }
+
+    fn site(&self, _: &Decoded<'_>) -> (u32, u32) {
+        (self.block, self.ip)
+    }
+
+    fn written(&self) -> &[bool] {
+        &self.written
+    }
+
+    fn regs_mut(&mut self) -> &mut [Value] {
+        &mut self.regs
+    }
+
+    fn fall_through(&mut self, prog: &Decoded<'_>) -> Result<(), Trap> {
+        let func = &prog.funcs[self.func as usize];
+        if (self.ip as usize) < func.blocks[self.block as usize].insts.len() {
+            self.ip += 1;
+        } else if (self.block as usize) + 1 < func.blocks.len() {
+            self.block += 1;
+            self.ip = 0;
+        } else {
+            return Err(Trap::CodeRunoff);
+        }
+        Ok(())
+    }
+}
+
+/// Everything a run holds besides memory and hooks. A tier's loop keeps
+/// it in locals while it runs and stores it back here when it stops, so
+/// a run can pause, be forked and resume. Between runs only
+/// `events.armed`, the fault for the next run, is meaningful.
+#[derive(Clone, Default)]
+pub(crate) struct RunState {
+    pub(crate) clock: Clock,
+    pub(crate) events: Events,
+    pub(crate) pipeline: Option<Pipeline>,
+    pub(crate) prints: Vec<Value>,
+    /// Reference-tier frames, innermost last.
+    stack: Vec<Frame>,
+    /// Threaded-tier frames, innermost last.
+    pub(crate) tstack: Vec<crate::threaded::TFrame>,
 }
 
 /// The interpreter: flat ECC-protected memory, a call stack of register
 /// frames, counters, optional timing, optional SEU injection.
+///
+/// A run can also be driven in steps: [`Machine::start`] begins one,
+/// [`Machine::run_until_due`] pauses it where a fault would fire,
+/// [`Machine::fork`] copies the paused machine and [`Machine::resume`]
+/// finishes it. Campaigns use this to run every trial as the suffix of
+/// one shared golden run.
 ///
 /// # Example
 ///
@@ -264,11 +292,11 @@ impl<'m> Program<'m> {
 /// ));
 /// ```
 pub struct Machine<'m, H> {
-    program: Program<'m>,
+    program: Decoded<'m>,
     hooks: H,
     config: ExecConfig,
     mem: Vec<Value>,
-    injection: Option<ArmedFault>,
+    run: RunState,
     /// Recycled call frames: register vectors are reused across calls and
     /// across runs instead of reallocated.
     pool: Vec<Frame>,
@@ -285,27 +313,23 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Creates a machine with an explicit configuration, decoding the
     /// module internally.
     pub fn with_config(module: &'m Module, hooks: H, config: ExecConfig) -> Self {
-        Self::build(
-            Program::Owned(Box::new(Decoded::new(module))),
-            hooks,
-            config,
-        )
+        Self::build(Decoded::new(module), hooks, config)
     }
 
     /// Creates a machine over a pre-built [`Decoded`], sharing it instead
     /// of decoding again — campaign drivers decode once and hand the same
     /// reference to every worker thread.
     pub fn from_decoded(decoded: &'m Decoded<'m>, hooks: H, config: ExecConfig) -> Self {
-        Self::build(Program::Shared(decoded), hooks, config)
+        Self::build(decoded.clone(), hooks, config)
     }
 
-    fn build(program: Program<'m>, hooks: H, config: ExecConfig) -> Self {
+    fn build(program: Decoded<'m>, hooks: H, config: ExecConfig) -> Self {
         let mut machine = Machine {
             program,
             hooks,
             config,
             mem: Vec::new(),
-            injection: None,
+            run: RunState::default(),
             pool: Vec::new(),
             tpool: Vec::new(),
         };
@@ -314,7 +338,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     }
 
     fn module(&self) -> &'m Module {
-        self.program.get().module
+        self.program.module
     }
 
     /// Re-initializes memory from the global initializers.
@@ -336,7 +360,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     pub fn global_range(&self, name: &str) -> Option<std::ops::Range<usize>> {
         let module = self.module();
         let id = module.global_by_name(name)?;
-        let base = self.program.get().global_base[id.index()] as usize;
+        let base = self.program.global_base[id.index()] as usize;
         Some(base..base + module.global(id).len)
     }
 
@@ -381,10 +405,11 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         &mut self.hooks
     }
 
-    /// Arms random fault injection for the next run. The plan's
-    /// [`FaultModel`] selects the effect sampled at the trigger.
+    /// Arms random fault injection for the next run, or for the paused
+    /// one. The plan's [`FaultModel`](crate::FaultModel) selects the effect sampled at the
+    /// trigger.
     pub fn set_injection(&mut self, plan: InjectionPlan) {
-        self.injection = Some(ArmedFault::Random(plan));
+        self.run.events.armed = Some(ArmedFault::Random(plan));
     }
 
     /// Arms one deterministic single-bit flip for the next run
@@ -397,7 +422,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// Arms one deterministic fault of any model for the next run
     /// (exhaustive-enumeration mode).
     pub fn set_exact_fault(&mut self, fault: ExactFault) {
-        self.injection = Some(ArmedFault::Exact(fault));
+        self.run.events.armed = Some(ArmedFault::Exact(fault));
     }
 
     /// Arms a single-event upset against the prediction runtime's *own*
@@ -410,7 +435,7 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// activations, and some of it is only resident briefly (a pending
     /// re-computation record lives from rejection to replay).
     pub fn set_runtime_state_flip(&mut self, trigger: u64, seed: u64) {
-        self.injection = Some(ArmedFault::RuntimeState { trigger, seed });
+        self.run.events.armed = Some(ArmedFault::RuntimeState { trigger, seed });
     }
 
     /// Runs `func` with `args` to completion.
@@ -421,7 +446,61 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
     /// mismatches — entry setup errors are caller bugs, unlike in-run traps
     /// which are reported in the outcome.
     pub fn run(&mut self, func: &str, args: &[Value]) -> RunOutcome {
-        self.run_inner(func, args, None)
+        self.start(func, args);
+        self.resume()
+    }
+
+    /// Begins a run of `func` with `args`, paused before its first
+    /// instruction; a paused run from before is abandoned. A fault armed
+    /// for the next run stays armed on this one.
+    ///
+    /// # Panics
+    ///
+    /// As [`Machine::run`].
+    pub fn start(&mut self, func: &str, args: &[Value]) {
+        self.begin(func, args, self.config.tier == ExecTier::Match);
+    }
+
+    /// Continues the paused run until `plan` would be due and pauses at
+    /// that boundary, before anything there happens. A fault armed then,
+    /// on this machine or on a [`Machine::fork`] of it, fires exactly as
+    /// in a run it was armed on from the start — the prefix counts toward
+    /// the step limit like any other. Returns `None` when paused, or the
+    /// outcome if the run ended before `plan` came due.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run is in flight.
+    pub fn run_until_due(&mut self, plan: &InjectionPlan) -> Option<RunOutcome> {
+        self.run.events.pause = Some(*plan);
+        self.exec(None)
+    }
+
+    /// Runs the paused run to completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run is in flight.
+    pub fn resume(&mut self) -> RunOutcome {
+        self.run.events.pause = None;
+        self.exec(None)
+            .expect("a run with no pause armed runs to its end")
+    }
+
+    /// A copy of this machine — memory, hooks, paused run and armed
+    /// fault — that continues exactly as the original would. `None` when
+    /// the hooks cannot fork ([`RuntimeHooks::fork`]).
+    #[must_use]
+    pub fn fork(&self) -> Option<Self> {
+        Some(Machine {
+            program: self.program.clone(),
+            hooks: self.hooks.fork()?,
+            config: self.config.clone(),
+            mem: self.mem.clone(),
+            run: self.run.clone(),
+            pool: Vec::new(),
+            tpool: Vec::new(),
+        })
     }
 
     /// Runs `func`, recording one [`TraceEntry`] per instruction boundary
@@ -437,16 +516,14 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
         args: &[Value],
         trace: &mut Vec<TraceEntry>,
     ) -> RunOutcome {
-        self.run_inner(func, args, Some(trace))
+        self.begin(func, args, true);
+        self.exec(Some(trace))
+            .expect("a run with no pause armed runs to its end")
     }
 
-    fn run_inner(
-        &mut self,
-        func: &str,
-        args: &[Value],
-        trace: Option<&mut Vec<TraceEntry>>,
-    ) -> RunOutcome {
-        let prog = self.program.get();
+    /// Sets up a run of `func` on the reference loop or the threaded one.
+    fn begin(&mut self, func: &str, args: &[Value], reference: bool) {
+        let prog = &self.program;
         let entry = prog
             .function_index(func)
             .unwrap_or_else(|| panic!("no function @{func}"));
@@ -455,44 +532,63 @@ impl<'m, H: RuntimeHooks> Machine<'m, H> {
             prog.funcs[entry].n_params,
             "argument count mismatch"
         );
+        let run = &mut self.run;
+        self.pool.append(&mut run.stack);
+        self.tpool.append(&mut run.tstack);
+        run.clock = Clock::default();
+        run.pipeline = self.config.timing.map(Pipeline::new);
+        run.prints.clear();
+        run.events = Events {
+            armed: run.events.armed,
+            ..Events::default()
+        };
+        if reference {
+            let mut first = acquire_frame(&mut self.pool, prog, entry);
+            first.regs[..args.len()].copy_from_slice(args);
+            first.written[..args.len()].fill(true);
+            run.stack.push(first);
+        } else {
+            let mut first = crate::threaded::acquire(&mut self.tpool, &prog.funcs, entry);
+            first.regs[..args.len()].copy_from_slice(args);
+            first.written[..args.len()].fill(true);
+            run.tstack.push(first);
+        }
+    }
 
-        // Split the borrows: the decoded program is read-only for the whole
-        // run while memory, hooks and the frame pool are mutated.
+    /// Continues the run in flight on its tier's loop: `None` if it
+    /// paused, its outcome if it ended.
+    fn exec(&mut self, trace: Option<&mut Vec<TraceEntry>>) -> Option<RunOutcome> {
         let Machine {
             program,
             hooks,
             config,
             mem,
-            injection,
+            run,
             pool,
             tpool,
         } = self;
-        // Traced (census) runs always go through the reference loop: the
-        // trace wants (block, ip) program points, and the oracle tier is
-        // what the census is defined against.
-        if trace.is_none() && config.tier != ExecTier::Match {
-            return crate::threaded::exec_threaded(
-                program.get(),
-                hooks,
-                config,
-                mem,
-                tpool,
-                injection.take(),
-                entry,
-                args,
-            );
+        let termination = if run.tstack.is_empty() {
+            assert!(!run.stack.is_empty(), "no run in flight");
+            exec_loop(program, hooks, config, mem, pool, run, trace)?
+        } else {
+            crate::threaded::exec_threaded(program, hooks, config, mem, tpool, run)?
+        };
+        // Recycle whatever frames remain (mid-stack trap or normal exit).
+        pool.append(&mut run.stack);
+        tpool.append(&mut run.tstack);
+        let mut counters = run.clock.counters;
+        if let Some(p) = run.pipeline.take() {
+            counters.cycles = p.cycles();
+            counters.mispredicts = p.mispredicts();
         }
-        exec_loop(
-            program.get(),
-            hooks,
-            config,
-            mem,
-            pool,
-            injection.take(),
-            trace,
-            entry,
-            args,
-        )
+        let events = std::mem::take(&mut run.events);
+        Some(RunOutcome {
+            termination,
+            counters,
+            injection: events.injected,
+            state_injection: events.state_injected,
+            prints: std::mem::take(&mut run.prints),
+        })
     }
 }
 
@@ -573,114 +669,33 @@ fn store_cell(mem: &mut [Value], addr: i64, v: Value) -> Result<(), Trap> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The reference loop: continues the run in flight until it ends
+/// (`Some`) or a pause comes due (`None`). The run state lives in locals
+/// while the loop runs and goes back into `run` when it stops.
 fn exec_loop<H: RuntimeHooks>(
     prog: &Decoded<'_>,
     hooks: &mut H,
     config: &ExecConfig,
     mem: &mut [Value],
     pool: &mut Vec<Frame>,
-    mut injection: Option<ArmedFault>,
+    run: &mut RunState,
     mut trace: Option<&mut Vec<TraceEntry>>,
-    entry: usize,
-    args: &[Value],
-) -> RunOutcome {
+) -> Option<Termination> {
     let global_base = &prog.global_base;
-    let mut counters = Counters::default();
-    let mut pipeline = config.timing.map(Pipeline::new);
-    let mut prints = Vec::new();
-    let mut region_depth: u32 = 0;
-    let mut injected: Option<InjectionRecord> = None;
-    let mut state_injected: Option<String> = None;
-    // Instruction boundaries crossed so far. Differs from
-    // `counters.retired` because intrinsic actions charge extra modeled
-    // instructions; [`ExactFlip`] and the enumeration census count actual
-    // boundaries so they stay in lockstep across runs.
-    let mut boundary: u64 = 0;
+    let mut clock = run.clock;
+    let mut events = std::mem::take(&mut run.events);
+    let mut pipeline = run.pipeline.take();
+    let mut prints = std::mem::take(&mut run.prints);
+    let mut stack = std::mem::take(&mut run.stack);
     // Scratch for intrinsic argument values, reused across calls.
     let mut scratch: Vec<Value> = Vec::new();
 
-    let mut stack: Vec<Frame> = Vec::with_capacity(16);
-    let mut first = acquire_frame(pool, prog, entry);
-    for (i, &a) in args.iter().enumerate() {
-        first.regs[i] = a;
-        first.written[i] = true;
-    }
-    stack.push(first);
-
     let termination = loop {
-        // --- Fault injection at the instruction boundary. ---
-        if let Some(armed) = &injection {
-            let due = match armed {
-                ArmedFault::Random(plan) => {
-                    if plan.anywhere {
-                        counters.retired >= plan.trigger
-                    } else {
-                        region_depth > 0 && counters.region_retired >= plan.trigger
-                    }
-                }
-                ArmedFault::Exact(fault) => boundary >= fault.at,
-                // The runtime's own metadata outlives region activations
-                // (the pending queue, for one, drains in the post-exit
-                // flush recheck), so once the trigger count is reached the
-                // strike may land at any boundary, in or out of a region.
-                ArmedFault::RuntimeState { trigger, .. } => counters.region_retired >= *trigger,
-            };
-            if due {
-                // A skip fault swallows the instruction the boundary is
-                // about to execute; the effect (counters, position) is
-                // applied here and the loop restarts at the next
-                // boundary.
-                let skips = matches!(
-                    armed,
-                    ArmedFault::Random(InjectionPlan {
-                        model: FaultModel::InstructionSkip,
-                        ..
-                    }) | ArmedFault::Exact(ExactFault {
-                        kind: ExactFaultKind::Skip,
-                        ..
-                    })
-                );
-                match armed {
-                    // The skip model strikes architectural instructions
-                    // only; over an intrinsic boundary the fault holds
-                    // fire (fall through, execute the intrinsic) and
-                    // retries at the next boundary, like a runtime-state
-                    // fault with no live target.
-                    _ if skips && skip_target_is_intrinsic(prog, &stack) => {}
-                    _ if skips => {
-                        let (record, trap) =
-                            fire_skip(prog, &mut stack, &mut counters, &mut boundary, region_depth);
-                        injected = Some(record);
-                        injection = None;
-                        if let Some(trap) = trap {
-                            break Termination::Trapped(trap);
-                        }
-                        continue;
-                    }
-                    ArmedFault::Random(plan) => {
-                        injected = inject(prog, plan, &mut stack, counters.retired);
-                        injection = None;
-                    }
-                    ArmedFault::Exact(fault) => {
-                        injected = inject_exact(prog, fault, &mut stack, counters.retired);
-                        injection = None;
-                    }
-                    ArmedFault::RuntimeState { seed, .. } => {
-                        // The runtime may hold no live state of the chosen
-                        // kind at this boundary; keep the fault armed and
-                        // retry at the next one.
-                        if let Some(site) = hooks.flip_runtime_state(*seed) {
-                            state_injected = Some(site);
-                            injection = None;
-                        }
-                    }
-                }
-            }
-        }
-
-        if counters.retired >= config.step_limit {
-            break Termination::Trapped(Trap::StepLimit);
+        let (inner, outer) = stack.split_last_mut().expect("non-empty stack");
+        if let Err(stop) =
+            events.at_boundary(&mut clock, config.step_limit, hooks, prog, outer, inner)
+        {
+            break stop.termination();
         }
 
         let frame = stack.last_mut().expect("non-empty stack");
@@ -692,16 +707,12 @@ fn exec_loop<H: RuntimeHooks>(
                 &frame.written,
             ));
         }
-        boundary += 1;
+        clock.tick();
         let block = &prog.funcs[frame.func as usize].blocks[frame.block as usize];
 
         if (frame.ip as usize) < block.insts.len() {
             let step = &block.insts[frame.ip as usize];
             frame.ip += 1;
-            counters.retired += 1;
-            if region_depth > 0 {
-                counters.region_retired += 1;
-            }
 
             match &step.op {
                 DInst::Mov { dst, src } => {
@@ -720,7 +731,7 @@ fn exec_loop<H: RuntimeHooks>(
                     let b = eval(global_base, frame, *rhs);
                     let v = match bin_op(*ty, *op, a, b) {
                         Ok(v) => v,
-                        Err(trap) => break Termination::Trapped(trap),
+                        Err(trap) => break Some(Termination::Trapped(trap)),
                     };
                     let done = issue(frame, &mut pipeline, step, None);
                     write_reg(frame, *dst, v, done);
@@ -760,28 +771,28 @@ fn exec_loop<H: RuntimeHooks>(
                     write_reg(frame, *dst, v, done);
                 }
                 DInst::Load { dst, addr } => {
-                    counters.loads += 1;
+                    clock.counters.loads += 1;
                     let a = eval(global_base, frame, *addr).as_i();
                     let v = match load_cell(mem, a) {
                         Ok(v) => v,
-                        Err(trap) => break Termination::Trapped(trap),
+                        Err(trap) => break Some(Termination::Trapped(trap)),
                     };
                     let done = issue(frame, &mut pipeline, step, Some(a));
                     write_reg(frame, *dst, v, done);
                 }
                 DInst::Store { addr, value } => {
-                    counters.stores += 1;
+                    clock.counters.stores += 1;
                     let a = eval(global_base, frame, *addr).as_i();
                     let v = eval(global_base, frame, *value);
                     issue(frame, &mut pipeline, step, Some(a));
                     if let Err(trap) = store_cell(mem, a, v) {
-                        break Termination::Trapped(trap);
+                        break Some(Termination::Trapped(trap));
                     }
                 }
                 DInst::Call { dst, target, args } => {
-                    counters.calls += 1;
+                    clock.counters.calls += 1;
                     if stack.len() >= config.max_call_depth {
-                        break Termination::Trapped(Trap::StackOverflow);
+                        break Some(Termination::Trapped(Trap::StackOverflow));
                     }
                     let mut new = acquire_frame(pool, prog, *target as usize);
                     let caller = stack.last_mut().expect("frame");
@@ -797,11 +808,13 @@ fn exec_loop<H: RuntimeHooks>(
                     stack.push(new);
                 }
                 DInst::CallUnknown { name } => {
-                    counters.calls += 1;
+                    clock.counters.calls += 1;
                     if stack.len() >= config.max_call_depth {
-                        break Termination::Trapped(Trap::StackOverflow);
+                        break Some(Termination::Trapped(Trap::StackOverflow));
                     }
-                    break Termination::Trapped(Trap::UnknownFunction(name.to_string()));
+                    break Some(Termination::Trapped(Trap::UnknownFunction(
+                        name.to_string(),
+                    )));
                 }
                 DInst::IntrinsicCall { dst, intr, args } => {
                     scratch.clear();
@@ -809,18 +822,15 @@ fn exec_loop<H: RuntimeHooks>(
                         scratch.push(eval(global_base, frame, a));
                     }
                     match intr {
-                        rskip_ir::Intrinsic::RegionEnter => region_depth += 1,
+                        rskip_ir::Intrinsic::RegionEnter => clock.region_depth += 1,
                         rskip_ir::Intrinsic::RegionExit => {
-                            region_depth = region_depth.saturating_sub(1);
+                            clock.region_depth = clock.region_depth.saturating_sub(1);
                         }
                         rskip_ir::Intrinsic::Print => prints.push(scratch[0]),
                         _ => {}
                     }
                     let action = hooks.intrinsic(*intr, &scratch);
-                    counters.retired += action.cost;
-                    if region_depth > 0 {
-                        counters.region_retired += action.cost;
-                    }
+                    clock.charge(action.cost);
                     let frame = stack.last_mut().expect("frame");
                     let done = match pipeline.as_mut() {
                         None => 0,
@@ -835,10 +845,10 @@ fn exec_loop<H: RuntimeHooks>(
                         }
                     };
                     if action.trap_detected {
-                        break Termination::Trapped(Trap::FaultDetected);
+                        break Some(Termination::Trapped(Trap::FaultDetected));
                     }
                     if action.trap_abort {
-                        break Termination::Trapped(Trap::RuntimeAbort);
+                        break Some(Termination::Trapped(Trap::RuntimeAbort));
                     }
                     if let (Some(d), Some(v)) = (dst, action.value) {
                         write_reg(frame, *d, v, done);
@@ -847,10 +857,6 @@ fn exec_loop<H: RuntimeHooks>(
             }
         } else {
             // Terminator.
-            counters.retired += 1;
-            if region_depth > 0 {
-                counters.region_retired += 1;
-            }
             match &block.term {
                 DTerm::Br(t) => {
                     frame.block = *t;
@@ -863,7 +869,7 @@ fn exec_loop<H: RuntimeHooks>(
                 } => {
                     let c = eval(global_base, frame, *cond);
                     let taken = c.as_i() != 0;
-                    counters.branches += 1;
+                    clock.counters.branches += 1;
                     if let Some(p) = pipeline.as_mut() {
                         let site = (u64::from(frame.func) << 32) | u64::from(frame.block);
                         let ready = operand_ready(frame, *cond);
@@ -879,7 +885,7 @@ fn exec_loop<H: RuntimeHooks>(
                     let done = stack.pop().expect("frame");
                     pool.push(done);
                     match stack.last_mut() {
-                        None => break Termination::Returned(value),
+                        None => break Some(Termination::Returned(value)),
                         Some(caller) => {
                             if let (Some(dst), Some(val)) = (ret_dst, value) {
                                 caller.regs[dst.index()] = val;
@@ -893,20 +899,12 @@ fn exec_loop<H: RuntimeHooks>(
         }
     };
 
-    // Recycle whatever frames remain (mid-stack trap or normal exit).
-    pool.append(&mut stack);
-
-    if let Some(p) = &pipeline {
-        counters.cycles = p.cycles();
-        counters.mispredicts = p.mispredicts();
-    }
-    RunOutcome {
-        termination,
-        counters,
-        injection: injected,
-        state_injection: state_injected,
-        prints,
-    }
+    run.stack = stack;
+    run.clock = clock;
+    run.pipeline = pipeline;
+    run.prints = prints;
+    run.events = events;
+    termination
 }
 
 pub(crate) fn bin_op(ty: Ty, op: BinOp, a: Value, b: Value) -> Result<Value, Trap> {
@@ -1001,180 +999,6 @@ pub(crate) fn cmp_op(ty: Ty, op: CmpOp, a: Value, b: Value) -> bool {
             }
         }
     }
-}
-
-/// Applies the random register effect of `plan.model` (SEU bit flip or
-/// burst) to one random live register. Skip faults never reach here —
-/// they fire through [`fire_skip`].
-fn inject(
-    prog: &Decoded<'_>,
-    plan: &InjectionPlan,
-    stack: &mut [Frame],
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(plan.seed);
-
-    // Gather live (written) registers across all active frames — the
-    // architectural register file is shared state on real hardware.
-    let mut targets: Vec<(usize, usize)> = Vec::new();
-    for (fi, frame) in stack.iter().enumerate() {
-        for (ri, &w) in frame.written.iter().enumerate() {
-            if w {
-                targets.push((fi, ri));
-            }
-        }
-    }
-    if targets.is_empty() {
-        return None;
-    }
-    // The target draw precedes the effect draw for every model, so the
-    // SEU stream (and with it every pre-existing campaign golden) is
-    // unchanged by the generalization.
-    let (fi, ri) = targets[rng.gen_range(0..targets.len())];
-    let old = stack[fi].regs[ri];
-    let (new, effect) = match plan.model {
-        FaultModel::InstructionSkip => unreachable!("skip faults fire through fire_skip"),
-        FaultModel::SingleBitSeu => {
-            let bit = rng.gen_range(0..64u32);
-            let new = old.with_bit_flipped(bit);
-            let effect = FaultEffect::BitFlip {
-                reg: Reg(ri as u32),
-                bit,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-        FaultModel::MultiBitBurst { width } => {
-            let w = width.clamp(1, 64);
-            let (start, w, mask) = burst_window(rng.gen_range(0..(65 - w)), w);
-            let new = old.with_bits_flipped(mask);
-            let effect = FaultEffect::Burst {
-                reg: Reg(ri as u32),
-                start,
-                width: w,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-    };
-    stack[fi].regs[ri] = new;
-    Some(InjectionRecord {
-        function: prog.module.functions[stack[fi].func as usize].name.clone(),
-        block: rskip_ir::BlockId(stack[fi].block),
-        ip: stack[fi].ip as usize,
-        at_retired,
-        effect,
-    })
-}
-
-/// Applies the planned register effect (bit flip or burst) in the
-/// innermost frame, or does nothing if that register has not been written
-/// yet (a fault in a never-written register is architecturally invisible:
-/// the verifier guarantees such registers are never read on this path).
-/// Skip faults never reach here — they fire through [`fire_skip`].
-fn inject_exact(
-    prog: &Decoded<'_>,
-    fault: &ExactFault,
-    stack: &mut [Frame],
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    let frame = stack.last_mut()?;
-    let (reg, mask) = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => (reg, 1u64 << bit.min(63)),
-        ExactFaultKind::Burst { reg, start, width } => (reg, burst_window(start, width).2),
-        ExactFaultKind::Skip => unreachable!("skip faults fire through fire_skip"),
-    };
-    let ri = reg.index();
-    if ri >= frame.regs.len() || !frame.written[ri] {
-        return None;
-    }
-    let old = frame.regs[ri];
-    let new = old.with_bits_flipped(mask);
-    frame.regs[ri] = new;
-    let effect = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => FaultEffect::BitFlip {
-            reg,
-            bit,
-            old_bits: old.bits(),
-            new_bits: new.bits(),
-        },
-        ExactFaultKind::Burst { reg, start, width } => {
-            let (start, width, _) = burst_window(start, width);
-            FaultEffect::Burst {
-                reg,
-                start,
-                width,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            }
-        }
-        ExactFaultKind::Skip => unreachable!(),
-    };
-    Some(InjectionRecord {
-        function: prog.module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(frame.block),
-        ip: frame.ip as usize,
-        at_retired,
-        effect,
-    })
-}
-
-/// True when the step the innermost frame would execute next is an
-/// intrinsic call — the one shape a skip fault must hold fire over (the
-/// runtime interface executes host-side; swallowing a call would desync
-/// the runtime's own metadata rather than the emulated program state).
-fn skip_target_is_intrinsic(prog: &Decoded<'_>, stack: &[Frame]) -> bool {
-    let frame = stack.last().expect("non-empty stack");
-    prog.funcs[frame.func as usize].blocks[frame.block as usize]
-        .insts
-        .get(frame.ip as usize)
-        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
-}
-
-/// Fires an instruction-skip fault: the instruction or terminator the
-/// innermost frame would execute next retires as a bubble — counters and
-/// the boundary census advance exactly as for a real retirement — but
-/// nothing executes, and control falls through to the next instruction
-/// (for a skipped terminator: the next block in layout order). Skipping
-/// the terminator of a function's last block leaves nothing to fall
-/// through to: [`Trap::CodeRunoff`].
-fn fire_skip(
-    prog: &Decoded<'_>,
-    stack: &mut [Frame],
-    counters: &mut Counters,
-    boundary: &mut u64,
-    region_depth: u32,
-) -> (InjectionRecord, Option<Trap>) {
-    let frame = stack.last_mut().expect("non-empty stack");
-    let record = InjectionRecord {
-        function: prog.module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(frame.block),
-        ip: frame.ip as usize,
-        at_retired: counters.retired,
-        effect: FaultEffect::SkippedInstruction,
-    };
-    // The bubble still retires.
-    *boundary += 1;
-    counters.retired += 1;
-    if region_depth > 0 {
-        counters.region_retired += 1;
-    }
-    let func = &prog.funcs[frame.func as usize];
-    let block = &func.blocks[frame.block as usize];
-    let trap = if (frame.ip as usize) < block.insts.len() {
-        frame.ip += 1;
-        None
-    } else if (frame.block as usize) + 1 < func.blocks.len() {
-        frame.block += 1;
-        frame.ip = 0;
-        None
-    } else {
-        Some(Trap::CodeRunoff)
-    };
-    (record, trap)
 }
 
 /// Convenience: run a module's entry function on a fresh machine without

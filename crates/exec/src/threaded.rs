@@ -25,15 +25,16 @@
 //! byte-identical memory, counters, injection records and timing — which
 //! the fault model depends on. Two mechanisms make that cheap:
 //!
-//! * **Event fuel.** The reference loop re-evaluates fault-injection
-//!   due-ness and the step limit at *every* instruction boundary. Both
-//!   are monotone in counters that advance by at most one per boundary —
-//!   except intrinsics, whose modeled cost advances them in jumps. The
-//!   threaded loop therefore computes `next_check`, the earliest
-//!   boundary at which any armed event could fire, checks events only
-//!   when `boundary >= next_check`, and forces a recomputation after
-//!   every intrinsic (the only non-unit advance). Firing boundaries are
-//!   bit-exact with the reference loop.
+//! * **Event fuel.** The reference loop re-evaluates its events — fault
+//!   due-ness, a pause, the step limit — at *every* instruction
+//!   boundary, through the same [`crate::events`] core this tier calls.
+//!   All are monotone in counters that advance by at most one per
+//!   boundary — except intrinsics, whose modeled cost advances them in
+//!   jumps. The threaded loop therefore computes `next_check`, the
+//!   earliest boundary at which any armed event could fire, checks
+//!   events only when `boundary >= next_check`, and forces a
+//!   recomputation after every intrinsic (the only non-unit advance).
+//!   Firing boundaries are bit-exact with the reference loop.
 //! * **Fusion decomposition.** A fused step of width `W` runs only when
 //!   `boundary + W <= next_check`, i.e. no event can fall between its
 //!   constituents. Otherwise the step's `single` handler executes just
@@ -51,19 +52,25 @@
 //! tier's fall-through to the next instruction or next block in layout
 //! order, because flattening emits blocks in index order — and running
 //! off the end of the function's code is the same [`Trap::CodeRunoff`].
+//!
+//! A pause ([`crate::Machine::run_until_due`]) is one more armed event:
+//! the boundary where a random plan would be due, with the plan's own
+//! fuel. The loop therefore stops at a genuine single-instruction
+//! boundary, decomposing a fused group exactly as it would for the
+//! injection itself, and hands its state back to the machine before
+//! anything at that boundary runs. A fault armed on the paused machine
+//! (or on a fork of it) is then checked first on resume, at the same
+//! boundary, with the same counters, as in a run it was armed on from
+//! the start.
 
-use rskip_ir::{Intrinsic, Module, Operand, Reg, Value};
+use rskip_ir::{Intrinsic, Operand, Reg, Value};
 
-use crate::counters::Counters;
 use crate::decoded::{DFunc, DInst, DTerm, Decoded};
-use crate::fault::{
-    burst_window, ExactFault, ExactFaultKind, FaultEffect, FaultModel, InjectionPlan,
-    InjectionRecord,
-};
+use crate::events::{Clock, EventFrame, Events, Stop};
 use crate::fuse;
 use crate::hooks::RuntimeHooks;
-use crate::machine::{bin_op, cmp_op, un_op, ArmedFault, ExecConfig, ExecTier};
-use crate::machine::{RunOutcome, Termination, Trap};
+use crate::machine::{bin_op, cmp_op, un_op, ExecConfig, ExecTier, RunState};
+use crate::machine::{Termination, Trap};
 use crate::pipeline::{OpClass, Pipeline};
 
 /// One per-step handler. Executes the step (or its fused group), updates
@@ -164,7 +171,7 @@ pub(crate) struct ThreadedModule {
 
 /// A call frame of the threaded tier: like the reference frame but with
 /// a flat pc instead of a (block, ip) pair.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct TFrame {
     pub(crate) func: u32,
     pub(crate) pc: u32,
@@ -172,6 +179,35 @@ pub(crate) struct TFrame {
     pub(crate) regs: Vec<Value>,
     pub(crate) written: Vec<bool>,
     pub(crate) ready: Vec<u64>,
+}
+
+impl EventFrame for TFrame {
+    fn func(&self) -> u32 {
+        self.func
+    }
+
+    fn site(&self, prog: &Decoded<'_>) -> (u32, u32) {
+        prog.unit.threaded.funcs[self.func as usize].loc[self.pc as usize]
+    }
+
+    fn written(&self) -> &[bool] {
+        &self.written
+    }
+
+    fn regs_mut(&mut self) -> &mut [Value] {
+        &mut self.regs
+    }
+
+    /// Flattening emits blocks in index order, so the next flat step is
+    /// the reference tier's fall-through.
+    fn fall_through(&mut self, prog: &Decoded<'_>) -> Result<(), Trap> {
+        self.pc += 1;
+        let code = &prog.unit.threaded.funcs[self.func as usize].code;
+        if self.pc as usize >= code.len() {
+            return Err(Trap::CodeRunoff);
+        }
+        Ok(())
+    }
 }
 
 /// Shared execution state threaded through every handler call.
@@ -187,7 +223,7 @@ pub(crate) struct Ctx<'a> {
     /// keep it in sync with `frame.func`.
     pub(crate) code: &'a [TStep],
     pub(crate) dfuncs: &'a [DFunc],
-    pub(crate) module: &'a Module,
+    pub(crate) prog: &'a Decoded<'a>,
     pub(crate) global_base: &'a [i64],
     pub(crate) hooks: &'a mut dyn RuntimeHooks,
     pub(crate) mem: &'a mut [Value],
@@ -197,33 +233,17 @@ pub(crate) struct Ctx<'a> {
     pub(crate) frame: TFrame,
     /// Suspended caller frames, outermost first.
     pub(crate) stack: Vec<TFrame>,
-    pub(crate) counters: Counters,
+    pub(crate) clock: Clock,
     pub(crate) pipeline: Option<Pipeline>,
     pub(crate) prints: Vec<Value>,
     pub(crate) scratch: Vec<Value>,
-    pub(crate) region_depth: u32,
-    /// Instruction boundaries crossed so far (see the reference loop).
-    pub(crate) boundary: u64,
-    /// Earliest boundary at which an armed event (injection due-ness or
+    /// Earliest boundary at which an armed event (a fault, a pause or
     /// the step limit) must be re-evaluated.
     pub(crate) next_check: u64,
-    pub(crate) injection: Option<ArmedFault>,
-    pub(crate) injected: Option<InjectionRecord>,
-    pub(crate) state_injected: Option<String>,
+    pub(crate) events: &'a mut Events,
     pub(crate) termination: Option<Termination>,
     pub(crate) step_limit: u64,
     pub(crate) max_call_depth: usize,
-}
-
-/// Advances one instruction boundary (the per-step bookkeeping the
-/// reference loop performs at its top).
-#[inline(always)]
-fn tick(ctx: &mut Ctx<'_>) {
-    ctx.boundary += 1;
-    ctx.counters.retired += 1;
-    if ctx.region_depth > 0 {
-        ctx.counters.region_retired += 1;
-    }
 }
 
 #[inline(always)]
@@ -297,7 +317,7 @@ fn write2(ctx: &mut Ctx<'_>, st: &TStep, v: Value) {
 // ---------------------------------------------------------------------
 
 fn h_mov(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let v = ev(ctx.global_base, &ctx.frame, st.a);
     write1(ctx, st, v);
     ctx.frame.pc += 1;
@@ -307,7 +327,7 @@ fn h_mov(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 macro_rules! bin_handler_i {
     ($name:ident, |$x:ident, $y:ident| $body:expr) => {
         fn $name(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-            tick(ctx);
+            ctx.clock.tick();
             let $x = ev(ctx.global_base, &ctx.frame, st.a).as_i();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).as_i();
             let v = Value::I($body);
@@ -321,7 +341,7 @@ macro_rules! bin_handler_i {
 macro_rules! bin_handler_f {
     ($name:ident, |$x:ident, $y:ident| $body:expr) => {
         fn $name(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-            tick(ctx);
+            ctx.clock.tick();
             let $x = ev(ctx.global_base, &ctx.frame, st.a).as_f();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).as_f();
             let v = Value::F($body);
@@ -351,7 +371,7 @@ bin_handler_f!(h_min_f, |x, y| x.min(y));
 bin_handler_f!(h_max_f, |x, y| x.max(y));
 
 fn h_div_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let x = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     let y = ev(ctx.global_base, &ctx.frame, st.b).as_i();
     if y == 0 {
@@ -363,7 +383,7 @@ fn h_div_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_rem_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let x = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     let y = ev(ctx.global_base, &ctx.frame, st.b).as_i();
     if y == 0 {
@@ -377,7 +397,7 @@ fn h_rem_i(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 macro_rules! cmp_handler {
     ($name:ident, $cast:ident, |$x:ident, $y:ident| $body:expr) => {
         fn $name(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-            tick(ctx);
+            ctx.clock.tick();
             let $x = ev(ctx.global_base, &ctx.frame, st.a).$cast();
             let $y = ev(ctx.global_base, &ctx.frame, st.b).$cast();
             let v = Value::I(($body) as i64);
@@ -402,7 +422,7 @@ cmp_handler!(h_gt_f, as_f, |x, y| x > y);
 cmp_handler!(h_ge_f, as_f, |x, y| x >= y);
 
 fn h_un(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let a = ev(ctx.global_base, &ctx.frame, st.a);
     let v = un_op(st.ty, st.uop, a);
     write1(ctx, st, v);
@@ -411,7 +431,7 @@ fn h_un(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_select(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let c = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     let v = if c != 0 {
         ev(ctx.global_base, &ctx.frame, st.b)
@@ -433,8 +453,8 @@ fn h_select(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.loads += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.loads += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     if addr < 0 || addr as usize >= ctx.mem.len() {
         return halt(ctx, Trap::OutOfBounds { addr });
@@ -452,8 +472,8 @@ fn h_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.stores += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.stores += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     let v = ev(ctx.global_base, &ctx.frame, st.b);
     // The reference loop issues the store into the pipeline before the
@@ -471,8 +491,8 @@ fn h_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.calls += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.calls += 1;
     // `stack` holds suspended frames only; +1 counts the running frame so
     // the threshold matches the reference interpreter exactly.
     if ctx.stack.len() + 1 >= ctx.max_call_depth {
@@ -505,8 +525,8 @@ fn h_call(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_call_unknown(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.calls += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.calls += 1;
     if ctx.stack.len() + 1 >= ctx.max_call_depth {
         return halt(ctx, Trap::StackOverflow);
     }
@@ -515,7 +535,7 @@ fn h_call_unknown(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let tprog = ctx.tprog;
     let args_pool = &tprog.funcs[ctx.frame.func as usize].args_pool;
     let args = &args_pool[st.t1 as usize..(st.t1 + st.t3) as usize];
@@ -525,17 +545,16 @@ fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
         scratch.push(ev(ctx.global_base, &ctx.frame, a));
     }
     match st.intr {
-        Intrinsic::RegionEnter => ctx.region_depth += 1,
-        Intrinsic::RegionExit => ctx.region_depth = ctx.region_depth.saturating_sub(1),
+        Intrinsic::RegionEnter => ctx.clock.region_depth += 1,
+        Intrinsic::RegionExit => {
+            ctx.clock.region_depth = ctx.clock.region_depth.saturating_sub(1);
+        }
         Intrinsic::Print => ctx.prints.push(scratch[0]),
         _ => {}
     }
     let action = ctx.hooks.intrinsic(st.intr, &scratch);
     ctx.scratch = scratch;
-    ctx.counters.retired += action.cost;
-    if ctx.region_depth > 0 {
-        ctx.counters.region_retired += action.cost;
-    }
+    ctx.clock.charge(action.cost);
     let done = match ctx.pipeline.as_mut() {
         None => 0,
         Some(p) => {
@@ -549,7 +568,7 @@ fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
     // Intrinsic cost is the only non-unit counter advance, and region
     // markers gate region-scoped due-ness: force an event re-check at the
     // next boundary.
-    ctx.next_check = ctx.boundary;
+    ctx.next_check = ctx.clock.boundary;
     if action.trap_detected {
         return halt(ctx, Trap::FaultDetected);
     }
@@ -569,15 +588,15 @@ fn h_intrinsic(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_br(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     ctx.frame.pc = st.t1;
     Control::Cont
 }
 
 fn h_condbr(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let taken = ev(ctx.global_base, &ctx.frame, st.a).as_i() != 0;
-    ctx.counters.branches += 1;
+    ctx.clock.counters.branches += 1;
     if let Some(p) = ctx.pipeline.as_mut() {
         p.branch(st.site, taken, ready1(&ctx.frame, st.a));
     }
@@ -586,7 +605,7 @@ fn h_condbr(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 }
 
 fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let value = (st.flags & F_RET_VALUE != 0).then(|| ev(ctx.global_base, &ctx.frame, st.a));
     let timed = ctx.pipeline.is_some();
     let ready = if timed && st.flags & F_RET_VALUE != 0 {
@@ -623,13 +642,13 @@ fn h_ret(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// `cmp dst, a, b ; condbr dst, t1, t2`
 fn h_cmp_br(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let a = ev(ctx.global_base, &ctx.frame, st.a);
     let b = ev(ctx.global_base, &ctx.frame, st.b);
     let taken = cmp_op(st.ty, st.cop, a, b);
     write2(ctx, st, Value::I(taken as i64));
-    tick(ctx);
-    ctx.counters.branches += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.branches += 1;
     if let Some(p) = ctx.pipeline.as_mut() {
         p.branch(st.site, taken, ctx.frame.ready[st.dst.index()]);
     }
@@ -639,8 +658,8 @@ fn h_cmp_br(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// `load dst, [a] ; bin dst2, b, c`
 fn h_load_bin(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.loads += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.loads += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     if addr < 0 || addr as usize >= ctx.mem.len() {
         return halt(ctx, Trap::OutOfBounds { addr });
@@ -653,7 +672,7 @@ fn h_load_bin(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
             wr_t(&mut ctx.frame, st.dst, v, done);
         }
     }
-    tick(ctx);
+    ctx.clock.tick();
     let x = ev(ctx.global_base, &ctx.frame, st.b);
     let y = ev(ctx.global_base, &ctx.frame, st.c);
     let v = match bin_op(st.ty, st.bop, x, y) {
@@ -674,7 +693,7 @@ fn h_load_bin(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// `bin dst, a, b ; store [c], dst`
 fn h_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let x = ev(ctx.global_base, &ctx.frame, st.a);
     let y = ev(ctx.global_base, &ctx.frame, st.b);
     let v = match bin_op(st.ty, st.bop, x, y) {
@@ -682,8 +701,8 @@ fn h_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
         Err(trap) => return halt(ctx, trap),
     };
     write2(ctx, st, v);
-    tick(ctx);
-    ctx.counters.stores += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.stores += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.c).as_i();
     if let Some(p) = ctx.pipeline.as_mut() {
         let ready = ready1(&ctx.frame, st.c).max(ctx.frame.ready[st.dst.index()]);
@@ -699,8 +718,8 @@ fn h_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// `load dst, [a] ; bin dst2, (dst|b) ; store [c], dst2`
 fn h_load_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
-    ctx.counters.loads += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.loads += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.a).as_i();
     if addr < 0 || addr as usize >= ctx.mem.len() {
         return halt(ctx, Trap::OutOfBounds { addr });
@@ -713,7 +732,7 @@ fn h_load_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
             wr_t(&mut ctx.frame, st.dst, v, done);
         }
     }
-    tick(ctx);
+    ctx.clock.tick();
     let loaded = ctx.frame.regs[st.dst.index()];
     let other = ev(ctx.global_base, &ctx.frame, st.b);
     let (x, y) = if st.flags & F_LOAD_ON_LHS != 0 {
@@ -733,8 +752,8 @@ fn h_load_bin_store(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
             wr_t(&mut ctx.frame, st.dst2, v, done);
         }
     }
-    tick(ctx);
-    ctx.counters.stores += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.stores += 1;
     let addr = ev(ctx.global_base, &ctx.frame, st.c).as_i();
     if let Some(p) = ctx.pipeline.as_mut() {
         let ready = ready1(&ctx.frame, st.c).max(ctx.frame.ready[st.dst2.index()]);
@@ -778,7 +797,7 @@ fn h_triple(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
 
 /// `bin dst, a, b ; load dst2, [dst]` (address-compute-then-load)
 fn h_bin_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
-    tick(ctx);
+    ctx.clock.tick();
     let x = ev(ctx.global_base, &ctx.frame, st.a);
     let y = ev(ctx.global_base, &ctx.frame, st.b);
     let v = match bin_op(st.ty, st.bop, x, y) {
@@ -786,8 +805,8 @@ fn h_bin_load(ctx: &mut Ctx<'_>, st: &TStep) -> Control {
         Err(trap) => return halt(ctx, trap),
     };
     write2(ctx, st, v);
-    tick(ctx);
-    ctx.counters.loads += 1;
+    ctx.clock.tick();
+    ctx.clock.counters.loads += 1;
     let addr = ctx.frame.regs[st.dst.index()].as_i();
     if addr < 0 || addr as usize >= ctx.mem.len() {
         return halt(ctx, Trap::OutOfBounds { addr });
@@ -1049,7 +1068,7 @@ pub(crate) const FUSED: fuse::FusedHandlers = fuse::FusedHandlers {
 // ---------------------------------------------------------------------
 
 /// Pops a recycled frame (or a fresh one) and initializes it for `func`.
-fn acquire(pool: &mut Vec<TFrame>, dfuncs: &[DFunc], func: usize) -> TFrame {
+pub(crate) fn acquire(pool: &mut Vec<TFrame>, dfuncs: &[DFunc], func: usize) -> TFrame {
     let init = &dfuncs[func].reg_init;
     let n = init.len();
     let mut fr = pool.pop().unwrap_or_default();
@@ -1065,66 +1084,56 @@ fn acquire(pool: &mut Vec<TFrame>, dfuncs: &[DFunc], func: usize) -> TFrame {
     fr
 }
 
-/// Runs `entry` to completion on the threaded tier. Semantics are
-/// byte-identical to [`crate::machine`]'s reference loop (see the module
-/// docs for the exactness argument).
-#[allow(clippy::too_many_arguments)]
+/// Continues the run in flight on the threaded tier until it ends
+/// (`Some`) or a pause comes due (`None`). Semantics are byte-identical
+/// to [`crate::machine`]'s reference loop (see the module docs for the
+/// exactness argument).
 pub(crate) fn exec_threaded(
     prog: &Decoded<'_>,
     hooks: &mut dyn RuntimeHooks,
     config: &ExecConfig,
     mem: &mut [Value],
     pool: &mut Vec<TFrame>,
-    injection: Option<ArmedFault>,
-    entry: usize,
-    args: &[Value],
-) -> RunOutcome {
+    run: &mut RunState,
+) -> Option<Termination> {
     let unit = &*prog.unit;
-    let mut frame = acquire(pool, &unit.funcs, entry);
-    for (i, &a) in args.iter().enumerate() {
-        frame.regs[i] = a;
-        frame.written[i] = true;
-    }
-
+    let mut stack = std::mem::take(&mut run.tstack);
+    let frame = stack.pop().expect("a run in flight");
     let fuse_enabled = config.tier == ExecTier::Threaded;
     let mut ctx = Ctx {
         tprog: &unit.threaded,
-        code: &unit.threaded.funcs[entry].code,
+        code: &unit.threaded.funcs[frame.func as usize].code,
         dfuncs: &unit.funcs,
-        module: prog.module,
+        prog,
         global_base: &unit.global_base,
         hooks,
         mem,
         pool,
         frame,
-        stack: Vec::with_capacity(16),
-        counters: Counters::default(),
-        pipeline: config.timing.map(Pipeline::new),
-        prints: Vec::new(),
+        stack,
+        clock: run.clock,
+        pipeline: run.pipeline.take(),
+        prints: std::mem::take(&mut run.prints),
         scratch: Vec::new(),
-        region_depth: 0,
-        boundary: 0,
-        // Force an event check before the first step, mirroring the
-        // reference loop's check-first ordering.
+        // Check events before the first step, mirroring the reference
+        // loop's check-first ordering.
         next_check: 0,
-        injection,
-        injected: None,
-        state_injected: None,
+        events: &mut run.events,
         termination: None,
         step_limit: config.step_limit,
         max_call_depth: config.max_call_depth,
     };
 
     let termination = loop {
-        if ctx.boundary >= ctx.next_check {
-            if let Some(t) = handle_events(&mut ctx) {
-                break t;
+        if ctx.clock.boundary >= ctx.next_check {
+            if let Err(stop) = handle_events(&mut ctx) {
+                break stop.termination();
             }
         }
         let code = ctx.code;
         let step = &code[ctx.frame.pc as usize];
         let ctl = if step.width == 1
-            || (fuse_enabled && ctx.boundary + u64::from(step.width) <= ctx.next_check)
+            || (fuse_enabled && ctx.clock.boundary + u64::from(step.width) <= ctx.next_check)
         {
             (step.run)(&mut ctx, step)
         } else {
@@ -1132,305 +1141,40 @@ pub(crate) fn exec_threaded(
         };
         match ctl {
             Control::Cont => {}
-            Control::Halt => break ctx.termination.take().expect("handler set termination"),
+            Control::Halt => {
+                break Some(ctx.termination.take().expect("handler set termination"));
+            }
         }
     };
 
-    // Recycle every frame (mid-stack trap or normal exit).
     let Ctx {
-        pool,
         frame,
         mut stack,
-        mut counters,
+        clock,
         pipeline,
         prints,
-        injected,
-        state_injected,
         ..
     } = ctx;
-    pool.push(frame);
-    pool.append(&mut stack);
-
-    if let Some(p) = &pipeline {
-        counters.cycles = p.cycles();
-        counters.mispredicts = p.mispredicts();
-    }
-    RunOutcome {
-        termination,
-        counters,
-        injection: injected,
-        state_injection: state_injected,
-        prints,
-    }
+    stack.push(frame);
+    run.tstack = stack;
+    run.clock = clock;
+    run.pipeline = pipeline;
+    run.prints = prints;
+    termination
 }
 
-/// Evaluates armed events at an instruction boundary and recomputes the
-/// fuel until the next one. Returns a termination to stop on.
+/// Runs the events due at this boundary and recomputes the fuel until
+/// the next check.
 #[cold]
-fn handle_events(ctx: &mut Ctx<'_>) -> Option<Termination> {
-    if let Some(armed) = ctx.injection.take() {
-        let due = match &armed {
-            ArmedFault::Random(plan) => {
-                if plan.anywhere {
-                    ctx.counters.retired >= plan.trigger
-                } else {
-                    ctx.region_depth > 0 && ctx.counters.region_retired >= plan.trigger
-                }
-            }
-            ArmedFault::Exact(fault) => ctx.boundary >= fault.at,
-            ArmedFault::RuntimeState { trigger, .. } => ctx.counters.region_retired >= *trigger,
-        };
-        if due {
-            match &armed {
-                // Skip faults swallow the step at the current pc; see the
-                // module docs for the decomposition argument.
-                ArmedFault::Random(InjectionPlan {
-                    model: FaultModel::InstructionSkip,
-                    ..
-                })
-                | ArmedFault::Exact(ExactFault {
-                    kind: ExactFaultKind::Skip,
-                    ..
-                }) => {
-                    // Over an intrinsic boundary the skip holds fire and
-                    // retries at the next one (the reference loop's rule);
-                    // the intrinsic itself forces that re-check.
-                    if skip_target_is_intrinsic(ctx) {
-                        ctx.injection = Some(armed);
-                    } else {
-                        let (record, trap) = fire_skip(ctx);
-                        ctx.injected = Some(record);
-                        if let Some(trap) = trap {
-                            return Some(Termination::Trapped(trap));
-                        }
-                    }
-                }
-                ArmedFault::Random(plan) => {
-                    ctx.injected = inject_random(
-                        ctx.module,
-                        ctx.tprog,
-                        plan,
-                        &mut ctx.stack,
-                        &mut ctx.frame,
-                        ctx.counters.retired,
-                    );
-                }
-                ArmedFault::Exact(fault) => {
-                    ctx.injected = inject_exact(
-                        ctx.module,
-                        ctx.tprog,
-                        fault,
-                        &mut ctx.frame,
-                        ctx.counters.retired,
-                    );
-                }
-                ArmedFault::RuntimeState { seed, .. } => {
-                    match ctx.hooks.flip_runtime_state(*seed) {
-                        Some(site) => ctx.state_injected = Some(site),
-                        // No live target at this boundary: stay armed and
-                        // retry at the next one, like the reference loop.
-                        None => ctx.injection = Some(armed),
-                    }
-                }
-            }
-        } else {
-            ctx.injection = Some(armed);
-        }
-    }
-
-    if ctx.counters.retired >= ctx.step_limit {
-        return Some(Termination::Trapped(Trap::StepLimit));
-    }
-
-    ctx.next_check = next_check(ctx);
-    None
-}
-
-/// The earliest boundary at which any armed event could fire, assuming
-/// every counter advances by at most one per boundary (intrinsics, the
-/// only exception, force a re-check themselves).
-fn next_check(ctx: &Ctx<'_>) -> u64 {
-    let mut fuel = ctx.step_limit - ctx.counters.retired;
-    if let Some(armed) = &ctx.injection {
-        let f = match armed {
-            ArmedFault::Random(plan) => {
-                if plan.anywhere {
-                    // `.max(1)`: a due skip held over an intrinsic stays
-                    // armed past its trigger — retry at the next boundary.
-                    (plan.trigger.saturating_sub(ctx.counters.retired)).max(1)
-                } else if ctx.counters.region_retired >= plan.trigger {
-                    // Due-ness now only awaits a RegionEnter, which is an
-                    // intrinsic and forces its own re-check.
-                    u64::MAX
-                } else {
-                    plan.trigger - ctx.counters.region_retired
-                }
-            }
-            // `.max(1)` as above: an exact skip held over an intrinsic is
-            // already past `at` and retries at the next boundary.
-            ArmedFault::Exact(fault) => (fault.at.saturating_sub(ctx.boundary)).max(1),
-            ArmedFault::RuntimeState { trigger, .. } => {
-                if ctx.counters.region_retired >= *trigger {
-                    // Armed and due, but the hooks held no live target:
-                    // retry at every boundary.
-                    1
-                } else {
-                    *trigger - ctx.counters.region_retired
-                }
-            }
-        };
-        fuel = fuel.min(f);
-    }
-    ctx.boundary.saturating_add(fuel)
-}
-
-/// Threaded-tier twin of the reference random injector: identical target
-/// enumeration order (outermost frame first, running frame last), RNG
-/// stream, effect sampling and record fields.
-fn inject_random(
-    module: &Module,
-    tprog: &ThreadedModule,
-    plan: &InjectionPlan,
-    stack: &mut [TFrame],
-    frame: &mut TFrame,
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(plan.seed);
-
-    let n_stack = stack.len();
-    let mut targets: Vec<(usize, usize)> = Vec::new();
-    for (fi, fr) in stack.iter().chain(std::iter::once(&*frame)).enumerate() {
-        for (ri, &w) in fr.written.iter().enumerate() {
-            if w {
-                targets.push((fi, ri));
-            }
-        }
-    }
-    if targets.is_empty() {
-        return None;
-    }
-    let (fi, ri) = targets[rng.gen_range(0..targets.len())];
-    let fr: &mut TFrame = if fi < n_stack { &mut stack[fi] } else { frame };
-    let old = fr.regs[ri];
-    let (new, effect) = match plan.model {
-        FaultModel::InstructionSkip => unreachable!("skip faults fire through fire_skip"),
-        FaultModel::SingleBitSeu => {
-            let bit = rng.gen_range(0..64u32);
-            let new = old.with_bit_flipped(bit);
-            let effect = FaultEffect::BitFlip {
-                reg: Reg(ri as u32),
-                bit,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-        FaultModel::MultiBitBurst { width } => {
-            let w = width.clamp(1, 64);
-            let (start, w, mask) = burst_window(rng.gen_range(0..(65 - w)), w);
-            let new = old.with_bits_flipped(mask);
-            let effect = FaultEffect::Burst {
-                reg: Reg(ri as u32),
-                start,
-                width: w,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            };
-            (new, effect)
-        }
-    };
-    fr.regs[ri] = new;
-    let (block, ip) = tprog.funcs[fr.func as usize].loc[fr.pc as usize];
-    Some(InjectionRecord {
-        function: module.functions[fr.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired,
-        effect,
-    })
-}
-
-/// Threaded-tier twin of the reference exact-fault injector (innermost
-/// frame only; a never-written register is architecturally invisible).
-fn inject_exact(
-    module: &Module,
-    tprog: &ThreadedModule,
-    fault: &ExactFault,
-    frame: &mut TFrame,
-    at_retired: u64,
-) -> Option<InjectionRecord> {
-    let (reg, mask) = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => (reg, 1u64 << bit.min(63)),
-        ExactFaultKind::Burst { reg, start, width } => (reg, burst_window(start, width).2),
-        ExactFaultKind::Skip => unreachable!("skip faults fire through fire_skip"),
-    };
-    let ri = reg.index();
-    if ri >= frame.regs.len() || !frame.written[ri] {
-        return None;
-    }
-    let old = frame.regs[ri];
-    let new = old.with_bits_flipped(mask);
-    frame.regs[ri] = new;
-    let effect = match fault.kind {
-        ExactFaultKind::BitFlip { reg, bit } => FaultEffect::BitFlip {
-            reg,
-            bit,
-            old_bits: old.bits(),
-            new_bits: new.bits(),
-        },
-        ExactFaultKind::Burst { reg, start, width } => {
-            let (start, width, _) = burst_window(start, width);
-            FaultEffect::Burst {
-                reg,
-                start,
-                width,
-                old_bits: old.bits(),
-                new_bits: new.bits(),
-            }
-        }
-        ExactFaultKind::Skip => unreachable!(),
-    };
-    let (block, ip) = tprog.funcs[frame.func as usize].loc[frame.pc as usize];
-    Some(InjectionRecord {
-        function: module.functions[frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired,
-        effect,
-    })
-}
-
-/// Threaded-tier twin of the reference hold-fire rule: true when the
-/// step at the current pc is an intrinsic call, which a skip fault must
-/// never swallow (the runtime interface executes host-side; swallowing a
-/// call would desync the runtime's own metadata rather than the emulated
-/// program state).
-fn skip_target_is_intrinsic(ctx: &Ctx<'_>) -> bool {
-    let (block, ip) = ctx.tprog.funcs[ctx.frame.func as usize].loc[ctx.frame.pc as usize];
-    ctx.dfuncs[ctx.frame.func as usize].blocks[block as usize]
-        .insts
-        .get(ip as usize)
-        .is_some_and(|step| matches!(step.op, DInst::IntrinsicCall { .. }))
-}
-
-/// Threaded-tier twin of the reference skip path: the step at the
-/// current pc retires as a bubble and control falls through to the next
-/// flat step, which is the next instruction or the next block in layout
-/// order — exactly the reference tier's fall-through. Running past the
-/// function's last step is [`Trap::CodeRunoff`].
-fn fire_skip(ctx: &mut Ctx<'_>) -> (InjectionRecord, Option<Trap>) {
-    let (block, ip) = ctx.tprog.funcs[ctx.frame.func as usize].loc[ctx.frame.pc as usize];
-    let record = InjectionRecord {
-        function: ctx.module.functions[ctx.frame.func as usize].name.clone(),
-        block: rskip_ir::BlockId(block),
-        ip: ip as usize,
-        at_retired: ctx.counters.retired,
-        effect: FaultEffect::SkippedInstruction,
-    };
-    // The bubble still retires.
-    tick(ctx);
-    ctx.frame.pc += 1;
-    let trap = (ctx.frame.pc as usize >= ctx.code.len()).then_some(Trap::CodeRunoff);
-    (record, trap)
+fn handle_events(ctx: &mut Ctx<'_>) -> Result<(), Stop> {
+    ctx.events.at_boundary(
+        &mut ctx.clock,
+        ctx.step_limit,
+        &mut *ctx.hooks,
+        ctx.prog,
+        &mut ctx.stack,
+        &mut ctx.frame,
+    )?;
+    ctx.next_check = ctx.events.next_check(&ctx.clock, ctx.step_limit);
+    Ok(())
 }

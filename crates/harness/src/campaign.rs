@@ -2,9 +2,8 @@
 //!
 //! A [`Campaign`] is a fixed experiment: one protected module (decoded
 //! once), one input, one golden output, `trials` fault-injection runs
-//! drawn from one [`FaultModel`] (single-bit SEU by default). Trials fan
-//! out across a scoped thread pool, and the result is **byte-identical
-//! regardless of thread count or schedule**:
+//! drawn from one [`FaultModel`] (single-bit SEU by default). The result
+//! is **byte-identical regardless of thread count or schedule**:
 //!
 //! * each trial's randomness comes from its own
 //!   `ChaCha8Rng::seed_from_u64(trial_seed(seed0, trial))` — a SplitMix64
@@ -13,6 +12,16 @@
 //! * trial outcomes are collected by index and folded left-to-right into
 //!   [`CampaignStats`], whose merge is commutative and associative
 //!   (monoidal) anyway.
+//!
+//! Trials are not run from scratch. Every trial of a chunk shares the
+//! fault-free prefix up to its trigger, so one golden run advances
+//! through the chunk's triggers in order and is forked where each comes
+//! due; the fork gets the trial's fault armed and runs only the suffix
+//! ([`run_forked`]). A fork is an exact copy of the paused machine —
+//! memory, frames, counters, hooks — and the fault fires at the boundary
+//! it would have fired at from the start, so each forked trial is the
+//! from-scratch trial ([`Campaign::run_trial`], the oracle the tests hold
+//! it to).
 //!
 //! Thread count comes from the `RAYON_NUM_THREADS` environment variable
 //! when set (the conventional knob, honored even though the pool is
@@ -23,12 +32,14 @@
 //! [`rskip_core::parallel`] so every layer shares one implementation;
 //! the utilities are re-exported here for compatibility.
 
+use std::sync::mpsc::{self, TrySendError};
+use std::sync::Mutex;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
 use rskip_exec::{
     classify_outcome, Decoded, ExactFault, ExactFaultKind, ExecConfig, FaultModel, InjectionPlan,
-    Machine, RuntimeHooks,
+    Machine, RunOutcome, RuntimeHooks,
 };
 use rskip_ir::{Module, Value};
 use rskip_workloads::InputSet;
@@ -60,8 +71,9 @@ pub use rskip_core::parallel::{num_threads, parallel_map_indexed, parallel_map_i
 /// (injection-free) run to measure the region-instruction budget — the
 /// sampling space for injection instants — and the hang threshold. Every
 /// trial then shares the decode, the input, the golden output and the
-/// [`ExecConfig`]; per-trial state is only the machine, the hooks and the
-/// split-seeded plan.
+/// [`ExecConfig`]. A chunk of trials also shares one golden run: each
+/// trial is a fork of it, cut where the trial's split-seeded plan comes
+/// due, so it executes only its own suffix.
 pub struct Campaign<'m> {
     decoded: Decoded<'m>,
     input: &'m InputSet,
@@ -205,9 +217,14 @@ impl<'m> Campaign<'m> {
         }
     }
 
-    /// Runs one trial and classifies it. `observe_recoveries` reads the
-    /// scheme's recovery counter off the hooks after the run (return 0
-    /// for schemes without explicit recovery).
+    /// Runs one trial from scratch on a fresh machine and classifies it.
+    /// `observe_recoveries` reads the scheme's recovery counter off the
+    /// hooks after the run (return 0 for schemes without explicit
+    /// recovery).
+    ///
+    /// This is the oracle the forked trials of
+    /// [`Campaign::trial_outcomes_on`] are tested against; campaigns
+    /// themselves never run it.
     pub fn run_trial<H: RuntimeHooks>(
         &self,
         trial: u32,
@@ -218,15 +235,7 @@ impl<'m> Campaign<'m> {
         self.input.apply(&mut machine);
         machine.set_injection(self.plan(trial));
         let out = machine.run("main", &[]);
-        let recovered = observe_recoveries(machine.hooks()) > 0;
-        let fired = out.injection.is_some() || out.state_injection.is_some();
-        let class = classify_outcome(&out, machine.read_global(self.output), self.golden);
-        TrialOutcome {
-            class,
-            recovered,
-            fired,
-            pruned: false,
-        }
+        self.outcome(&machine, &out, observe_recoveries)
     }
 
     /// Runs one *site-universe* trial: instead of a random trigger inside
@@ -289,15 +298,7 @@ impl<'m> Campaign<'m> {
         self.input.apply(&mut machine);
         machine.set_exact_fault(ExactFault { at: site.at, kind });
         let out = machine.run("main", &[]);
-        let recovered = observe_recoveries(machine.hooks()) > 0;
-        let fired = out.injection.is_some() || out.state_injection.is_some();
-        let class = classify_outcome(&out, machine.read_global(self.output), self.golden);
-        TrialOutcome {
-            class,
-            recovered,
-            fired,
-            pruned: false,
-        }
+        self.outcome(&machine, &out, observe_recoveries)
     }
 
     /// Runs `trials` site-universe trials on `threads` workers and folds
@@ -378,6 +379,13 @@ impl<'m> Campaign<'m> {
     /// The per-trial outcomes of one contiguous chunk, in trial order
     /// (independent of `threads`). The chunked drivers use this when the
     /// client asked for per-trial outcome streams.
+    ///
+    /// The chunk's trials run as suffixes of one golden run
+    /// ([`run_forked`]), each identical to [`Campaign::run_trial`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hooks cannot fork ([`RuntimeHooks::fork`]).
     pub fn trial_outcomes_on<H: RuntimeHooks>(
         &self,
         threads: usize,
@@ -390,11 +398,123 @@ impl<'m> Campaign<'m> {
             "chunk {range:?} out of 0..{}",
             self.trials
         );
-        let start = range.start;
-        parallel_map_indexed((range.end - range.start) as usize, threads, |i| {
-            self.run_trial(start + i as u32, &make_hooks, &observe_recoveries)
+        let plans: Vec<InjectionPlan> = range.map(|trial| self.plan(trial)).collect();
+        let mut golden = Machine::from_decoded(&self.decoded, make_hooks(), self.config.clone());
+        self.input.apply(&mut golden);
+        golden.start("main", &[]);
+        run_forked(golden, &plans, threads, |machine, out| {
+            self.outcome(machine, &out, &observe_recoveries)
         })
     }
+
+    /// Classifies a finished trial run.
+    fn outcome<H: RuntimeHooks>(
+        &self,
+        machine: &Machine<'_, H>,
+        out: &RunOutcome,
+        observe_recoveries: impl Fn(&H) -> u64,
+    ) -> TrialOutcome {
+        TrialOutcome {
+            class: classify_outcome(out, machine.read_global(self.output), self.golden),
+            recovered: observe_recoveries(machine.hooks()) > 0,
+            fired: out.injection.is_some() || out.state_injection.is_some(),
+            pruned: false,
+        }
+    }
+}
+
+/// Runs one trial per plan as a suffix forked from the `golden` run, on
+/// `threads` workers. The golden must be started ([`Machine::start`]) and
+/// not yet past the boundary where any plan comes due. Returns
+/// `finish(machine, outcome)` per plan, in plan order — plan by plan the
+/// same as arming the plan on the golden's machine before its start and
+/// running it to the end.
+///
+/// The golden advances through the plans in `(trigger, index)` order and
+/// is forked at the boundary where each comes due
+/// ([`Machine::run_until_due`]); the fork gets the plan armed and runs to
+/// the end. Forks go to the workers as they are cut. At most one per
+/// worker waits at a time: beyond that the golden runs the newest itself,
+/// the one with the shortest suffix, so memory stays flat in the chunk
+/// size. Once the golden has cut its last fork it runs waiting forks
+/// alongside the workers. When the golden ends before a plan comes due,
+/// that plan's trial is the golden run itself, unfired, as it would be
+/// from scratch.
+///
+/// # Panics
+///
+/// Panics if the hooks cannot fork ([`RuntimeHooks::fork`]).
+pub fn run_forked<'m, H, T>(
+    mut golden: Machine<'m, H>,
+    plans: &[InjectionPlan],
+    threads: usize,
+    finish: impl Fn(&Machine<'m, H>, RunOutcome) -> T + Sync,
+) -> Vec<T>
+where
+    H: RuntimeHooks,
+    T: Send,
+{
+    let mut order: Vec<usize> = (0..plans.len()).collect();
+    order.sort_by_key(|&i| (plans[i].trigger, i));
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..plans.len()).map(|_| None).collect());
+    let settle = |i: usize, result: T| {
+        slots.lock().expect("no thread panics holding the slots")[i] = Some(result);
+    };
+    let suffix = |(i, mut fork): (usize, Machine<'m, H>)| {
+        let out = fork.resume();
+        settle(i, finish(&fork, out));
+    };
+    let workers = threads.min(plans.len()).max(1) - 1;
+    let (cut, queue) = mpsc::sync_channel(workers);
+    let queue = Mutex::new(queue);
+    let next = || {
+        queue
+            .lock()
+            .expect("no thread panics holding the queue")
+            .recv()
+            .ok()
+    };
+    std::thread::scope(|scope| {
+        // Owned by this closure, so the queue closes and the workers
+        // return even if the golden panics.
+        let cut = cut;
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(fork) = next() {
+                    suffix(fork);
+                }
+            });
+        }
+        for (k, &i) in order.iter().enumerate() {
+            if let Some(out) = golden.run_until_due(&plans[i]) {
+                // Ended before this plan came due, and so before every
+                // later one.
+                for &j in &order[k..] {
+                    settle(j, finish(&golden, out.clone()));
+                }
+                break;
+            }
+            let mut fork = golden
+                .fork()
+                .expect("campaign hooks implement RuntimeHooks::fork");
+            fork.set_injection(plans[i]);
+            if let Err(TrySendError::Full(fork) | TrySendError::Disconnected(fork)) =
+                cut.try_send((i, fork))
+            {
+                suffix(fork);
+            }
+        }
+        drop(cut);
+        while let Some(fork) = next() {
+            suffix(fork);
+        }
+    });
+    slots
+        .into_inner()
+        .expect("no thread panics holding the slots")
+        .into_iter()
+        .map(|slot| slot.expect("every plan ran"))
+        .collect()
 }
 
 /// One concrete fault site of a census-derived universe: a dynamic

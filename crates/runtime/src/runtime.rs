@@ -418,6 +418,10 @@ impl RuntimeHooks for PredictionRuntime {
         }
     }
 
+    fn fork(&self) -> Option<Self> {
+        Some(self.clone())
+    }
+
     fn flip_runtime_state(&mut self, seed: u64) -> Option<String> {
         if self.regions.is_empty() {
             return None;
